@@ -44,18 +44,15 @@ from .graphs import (
     AcyclicityCheck,
     Edge,
     RPGraph,
-    SplitRPGraph,
     SplitVertex,
     assign_payoffs_split,
     assign_payoffs_topological,
     build_split_graph,
     build_strong_laminar_graph,
-    implement_edges,
     is_acyclic,
     topological_levels,
 )
 from .hadamard import (
-    BlockDifferenceOperator,
     block_difference_certificate,
     hadamard_minrank_bound,
     sylvester_hadamard,

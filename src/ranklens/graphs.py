@@ -6,109 +6,69 @@ B[i,j] > B[i,j']. In the zero-sum reading (B = -A) every edge v -> w
 means A_v > A_w, so an acyclic graph can be priced by a sink-first level
 sweep.
 
-Split graphs relax zero-sum exactly at the crossing choices: those
-profiles appear twice, once carrying only row edges (pricing A) and once
-carrying only column edges (pricing B), which confines any rank increase
-of A + B to the split rows and columns.
+A graph may split some profiles: each split profile appears twice, once
+carrying only row edges (pricing A) and once carrying only column edges
+(pricing B), which confines any rank increase of A + B to the split rows
+and columns. Splitting nothing gives the plain revealed-preference graph;
+splitting every profile separates the row player's constraints from the
+column player's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import CyclicGraph, NotDeduped, NotLaminar, UniquenessViolated
+from .errors import CyclicGraph, NotDeduped
 from .model import BimatrixGame, DataSet, Observation, StrategyProfile
-from .structure import analyze, is_laminar, laminar_forest, satisfies_uniqueness
+from .structure import laminar_forest
 
 ROW = "row"
 COL = "col"
-
-# Canonical vertex order lists the row-edge copy before the column-edge copy.
-_TAG_ORDER = {"": 0, "R": 1, "C": 2}
-
-
-class Edge(NamedTuple):
-    src: Hashable
-    dst: Hashable
-    kind: str
 
 
 class SplitVertex(NamedTuple):
     row: int
     col: int
-    tag: str  # "" intact, "R" row-edge copy, "C" column-edge copy
+    tag: str = ""  # "" intact, "R" row-edge copy, "C" column-edge copy
 
     def __str__(self) -> str:
         base = f"{self.row},{self.col}"
         return base if not self.tag else f"{base},{self.tag}"
 
 
-def split_vertex_key(vertex: SplitVertex) -> tuple[int, int, int]:
+class Edge(NamedTuple):
+    src: SplitVertex
+    dst: SplitVertex
+    kind: str
+
+
+# Canonical vertex order: by (row, col), then intact before R before C.
+_TAG_ORDER = {"": 0, "R": 1, "C": 2}
+
+
+def _vertex_key(vertex: SplitVertex) -> tuple[int, int, int]:
     return (vertex.row, vertex.col, _TAG_ORDER[vertex.tag])
-
-
-def _check_profile_edge(edge: Edge, n: int) -> None:
-    src, dst = edge.src, edge.dst
-    for p in (src, dst):
-        if not (1 <= p.row <= n and 1 <= p.col <= n):
-            raise ValueError(f"vertex {p} outside 1..{n}")
-    if edge.kind == ROW:
-        if src.col != dst.col or src.row == dst.row:
-            raise ValueError(f"row edge must change row and keep column: {edge}")
-    elif edge.kind == COL:
-        if src.row != dst.row or src.col == dst.col:
-            raise ValueError(f"column edge must change column and keep row: {edge}")
-    else:
-        raise ValueError(f"unknown edge kind {edge.kind!r}")
 
 
 @dataclass(frozen=True)
 class RPGraph:
-    """Directed graph over all n*n profiles with row/column typed edges."""
+    """Directed graph over the n*n profiles with row/column typed edges;
+    each profile in ``split`` is duplicated into an R and a C copy."""
 
     n: int
     edges: frozenset[Edge]
+    split: frozenset[StrategyProfile] = frozenset()
 
     def __post_init__(self) -> None:
-        for edge in self.edges:
-            _check_profile_edge(edge, self.n)
-
-    @property
-    def vertices(self) -> tuple[StrategyProfile, ...]:
-        return tuple(
-            StrategyProfile(i, j)
-            for i in range(1, self.n + 1)
-            for j in range(1, self.n + 1)
-        )
-
-    def to_dot(self) -> str:
-        lines = ["digraph revealed_preference {"]
-        for v in self.vertices:
-            lines.append(f'  "{v.row},{v.col}";')
-        for edge in sorted(self.edges):
-            lines.append(
-                f'  "{edge.src.row},{edge.src.col}" -> "{edge.dst.row},{edge.dst.col}" [kind={edge.kind}];'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class SplitRPGraph:
-    """RP graph where each split profile is duplicated into an R and a C copy."""
-
-    n: int
-    split: frozenset[StrategyProfile]
-    edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        vertex_set = set(self.vertices)
+        n, split = self.n, self.split
         for edge in self.edges:
             src, dst = edge.src, edge.dst
-            if src not in vertex_set or dst not in vertex_set:
-                raise ValueError(f"edge endpoint not a vertex of this graph: {edge}")
+            for v in (src, dst):
+                tags = ("R", "C") if split and (v.row, v.col) in split else ("",)
+                if not (1 <= v.row <= n and 1 <= v.col <= n and v.tag in tags):
+                    raise ValueError(f"edge endpoint not a vertex of this graph: {edge}")
             if edge.kind == ROW:
                 if src.col != dst.col or src.row == dst.row:
                     raise ValueError(f"row edge must change row and keep column: {edge}")
@@ -124,71 +84,74 @@ class SplitRPGraph:
 
     @property
     def vertices(self) -> tuple[SplitVertex, ...]:
-        out = []
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                if StrategyProfile(i, j) in self.split:
-                    out.append(SplitVertex(i, j, "R"))
-                    out.append(SplitVertex(i, j, "C"))
-                else:
-                    out.append(SplitVertex(i, j, ""))
-        return tuple(sorted(out, key=split_vertex_key))
-
-    @property
-    def row_span(self) -> int:
-        return len({p.row for p in self.split})
-
-    @property
-    def col_span(self) -> int:
-        return len({p.col for p in self.split})
+        """All vertices, in canonical order."""
+        return tuple(
+            SplitVertex(i, j, tag)
+            for i in range(1, self.n + 1)
+            for j in range(1, self.n + 1)
+            for tag in (("R", "C") if (i, j) in self.split else ("",))
+        )
 
     @property
     def span(self) -> int:
-        return min(self.row_span, self.col_span)
+        """The smaller of the split profiles' row count and column count."""
+        return min(len({p.row for p in self.split}), len({p.col for p in self.split}))
 
     def to_dot(self) -> str:
-        lines = ["digraph split_revealed_preference {"]
+        name = "split_revealed_preference" if self.split else "revealed_preference"
+        lines = [f"digraph {name} {{"]
         for v in self.vertices:
             lines.append(f'  "{v}";')
-        for edge in sorted(self.edges, key=lambda e: (split_vertex_key(e.src), split_vertex_key(e.dst))):
+        for edge in sorted(self.edges, key=lambda e: (_vertex_key(e.src), _vertex_key(e.dst))):
             lines.append(f'  "{edge.src}" -> "{edge.dst}" [kind={edge.kind}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-def implement_edges(observation: Observation) -> frozenset[Edge]:
-    """Edges forcing the observed choice to be a strict equilibrium.
+def _edges(observations: Iterable[Observation], split: frozenset) -> Iterator[Edge]:
+    """The one edge rule: each observed choice beats its deviations.
 
-    Row edges point from the choice to each row deviation; column edges
-    point from each column deviation to the choice.
+    Row edges point from the choice to each row deviation and use the R
+    copy of a split endpoint; column edges point from each column
+    deviation to the choice and use the C copy.
     """
-    (i, j), subgame = observation.choice, observation.subgame
-    edges = set()
-    for i2 in subgame.rows:
-        if i2 != i:
-            edges.add(Edge(StrategyProfile(i, j), StrategyProfile(i2, j), ROW))
-    for j2 in subgame.cols:
-        if j2 != j:
-            edges.add(Edge(StrategyProfile(i, j2), StrategyProfile(i, j), COL))
-    return frozenset(edges)
+
+    def copy(profile: tuple[int, int], tag: str) -> SplitVertex:
+        return SplitVertex(*profile, tag if profile in split else "")
+
+    for obs in observations:
+        (i, j), subgame = obs.choice, obs.subgame
+        for i2 in subgame.rows:
+            if i2 != i:
+                yield Edge(copy((i, j), "R"), copy((i2, j), "R"), ROW)
+        for j2 in subgame.cols:
+            if j2 != j:
+                yield Edge(copy((i, j2), "C"), copy((i, j), "C"), COL)
+
+
+def build_split_graph(dataset: DataSet, split: Iterable[StrategyProfile] = frozenset()) -> RPGraph:
+    """Revealed-preference graph of the dataset with the given profiles split.
+
+    Lays down the minimal implementing edge set of every observation. An
+    empty split gives the plain graph; the bounded-rank route splits the
+    crossing choices (see ``analyze``).
+    """
+    split = frozenset(StrategyProfile(*p) for p in split)
+    return RPGraph(dataset.n, frozenset(_edges(dataset.observations, split)), split)
 
 
 def build_strong_laminar_graph(dataset: DataSet) -> RPGraph:
     """Strongly implementing graph for a laminar dataset with unique,
     deduplicated choices.
 
-    Per observation ((i,j), X, Y) with children taken from the containment
-    forest: besides the implement edges, every vertex of a child containing
-    row i gets a column edge toward column j, and every other off-choice
-    vertex gets a row edge from row i. The result is acyclic and pins the
-    observed choice as the unique strict equilibrium of each subgame once
-    payoffs are assigned by levels.
+    The caller guarantees laminarity and uniqueness (``rationalize_zero_sum``
+    checks both); deduplication is checked here. Per observation ((i,j), X, Y)
+    with children taken from the containment forest: besides the implement
+    edges, every vertex of a child containing row i gets a column edge toward
+    column j, and every other off-choice vertex gets a row edge from row i.
+    The result is acyclic and pins the observed choice as the unique strict
+    equilibrium of each subgame once payoffs are assigned by levels.
     """
-    if not is_laminar(dataset):
-        raise NotLaminar("dataset has crossing subgames")
-    check = satisfies_uniqueness(dataset)
-    if not check.ok:
-        raise UniquenessViolated(f"uniqueness fails for pair {check.violation}")
     seen_choices: dict[StrategyProfile, Observation] = {}
     for obs in dataset.observations:
         if obs.choice in seen_choices:
@@ -198,64 +161,28 @@ def build_strong_laminar_graph(dataset: DataSet) -> RPGraph:
         seen_choices[obs.choice] = obs
 
     forest = laminar_forest(dataset)
-    edges: set[Edge] = set()
+    edges = set(_edges(dataset.observations, frozenset()))
     for obs in dataset.observations:
         (i, j) = obs.choice
         subgame = obs.subgame
-        edges |= implement_edges(obs)
-        children = forest.children_of(subgame)
         row_side: set[StrategyProfile] = set()
         col_side: set[StrategyProfile] = set()
-        for child in children:
+        for child in forest.children_of(subgame):
             target = row_side if i in child.rows else col_side
             target.update(child.grid())
         # A child grid holding the choice would collide with uniqueness
-        # plus deduplication, which the checks above already rule out.
+        # plus deduplication.
         assert obs.choice not in row_side and obs.choice not in col_side
-        for r, c in sorted(row_side):
-            edges.add(Edge(StrategyProfile(r, c), StrategyProfile(r, j), COL))
-        remaining = [
-            StrategyProfile(r, c)
-            for r in subgame.rows
-            for c in subgame.cols
-            if r != i and c != j and StrategyProfile(r, c) not in row_side
-        ]
-        for r, c in sorted(set(col_side) | set(remaining)):
-            edges.add(Edge(StrategyProfile(i, c), StrategyProfile(r, c), ROW))
+        # Sibling grids are disjoint, so no vertex is on both sides.
+        for r in subgame.rows:
+            for c in subgame.cols:
+                if (r, c) in row_side:
+                    edges.add(Edge(SplitVertex(r, c), SplitVertex(r, j), COL))
+                elif (r, c) in col_side or (r != i and c != j):
+                    edges.add(Edge(SplitVertex(i, c), SplitVertex(r, c), ROW))
     # Self-loops cannot arise: row-side vertices keep their own row for the
     # column edge, and the row-edge targets all avoid row i.
     return RPGraph(dataset.n, frozenset(edges))
-
-
-def build_split_graph(dataset: DataSet) -> SplitRPGraph:
-    """Split RP graph of a uniqueness dataset.
-
-    Splits exactly the observed choices of crossing subgames and lays down
-    the minimal implementing edge set: row-edge endpoints use the R copy of
-    a split profile, column-edge endpoints the C copy.
-    """
-    check = satisfies_uniqueness(dataset)
-    if not check.ok:
-        raise UniquenessViolated(f"uniqueness fails for pair {check.violation}")
-    report = analyze(dataset)
-    split = frozenset(report.crossing_choices)
-
-    def row_copy(profile: StrategyProfile) -> SplitVertex:
-        return SplitVertex(profile.row, profile.col, "R" if profile in split else "")
-
-    def col_copy(profile: StrategyProfile) -> SplitVertex:
-        return SplitVertex(profile.row, profile.col, "C" if profile in split else "")
-
-    edges: set[Edge] = set()
-    for obs in dataset.observations:
-        (i, j), subgame = obs.choice, obs.subgame
-        for i2 in subgame.rows:
-            if i2 != i:
-                edges.add(Edge(row_copy(obs.choice), row_copy(StrategyProfile(i2, j)), ROW))
-        for j2 in subgame.cols:
-            if j2 != j:
-                edges.add(Edge(col_copy(StrategyProfile(i, j2)), col_copy(obs.choice), COL))
-    return SplitRPGraph(dataset.n, split, frozenset(edges))
 
 
 class AcyclicityCheck(NamedTuple):
@@ -263,28 +190,21 @@ class AcyclicityCheck(NamedTuple):
     cycle: tuple | None
 
 
-def _sorted_vertices(vertices: Sequence[Hashable]) -> list:
-    sample = next(iter(vertices), None)
-    if isinstance(sample, SplitVertex):
-        return sorted(vertices, key=split_vertex_key)
-    return sorted(vertices)
-
-
-def is_acyclic(graph: RPGraph | SplitRPGraph) -> AcyclicityCheck:
+def is_acyclic(graph: RPGraph) -> AcyclicityCheck:
     """Cycle test with a deterministic witness cycle when one exists."""
-    vertices = _sorted_vertices(graph.vertices)
-    adjacency: dict[Hashable, list] = {v: [] for v in vertices}
+    vertices = graph.vertices
+    adjacency: dict[SplitVertex, list] = {v: [] for v in vertices}
     for edge in graph.edges:
         adjacency[edge.src].append(edge.dst)
     for neighbors in adjacency.values():
-        neighbors.sort(key=split_vertex_key if isinstance(next(iter(vertices), None), SplitVertex) else None)
+        neighbors.sort(key=_vertex_key)
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {v: WHITE for v in vertices}
     for start in vertices:
         if color[start] != WHITE:
             continue
-        stack: list[tuple[Hashable, int]] = [(start, 0)]
+        stack: list[tuple[SplitVertex, int]] = [(start, 0)]
         path = [start]
         color[start] = GRAY
         while stack:
@@ -306,55 +226,43 @@ def is_acyclic(graph: RPGraph | SplitRPGraph) -> AcyclicityCheck:
     return AcyclicityCheck(True, None)
 
 
-def topological_levels(graph: RPGraph | SplitRPGraph) -> dict:
+def topological_levels(graph: RPGraph) -> dict[SplitVertex, int]:
     """Sink-first level sweep.
 
     All current sinks (vertices without outgoing edges, isolated ones
     included) receive the current level, are removed, and the level
     increments; so every edge v -> w ends up with level(v) > level(w).
+    A vertex's level is one more than the longest path from it to a sink.
     Raises CyclicGraph when the sweep stalls.
     """
-    vertices = _sorted_vertices(graph.vertices)
+    vertices = graph.vertices
     out_degree = {v: 0 for v in vertices}
-    predecessors: dict[Hashable, list] = {v: [] for v in vertices}
+    predecessors: dict[SplitVertex, list] = {v: [] for v in vertices}
     for edge in graph.edges:
         out_degree[edge.src] += 1
         predecessors[edge.dst].append(edge.src)
 
-    levels: dict = {}
+    levels: dict[SplitVertex, int] = {}
     current = [v for v in vertices if out_degree[v] == 0]
     level = 1
-    assigned = 0
     while current:
         next_wave = []
         for vertex in current:
             levels[vertex] = level
-            assigned += 1
             for pred in predecessors[vertex]:
                 out_degree[pred] -= 1
                 if out_degree[pred] == 0:
                     next_wave.append(pred)
-        current = _sorted_vertices(next_wave)
+        current = sorted(next_wave, key=_vertex_key)
         level += 1
-    if assigned != len(vertices):
+    if len(levels) != len(vertices):
         witness = is_acyclic(graph).cycle
         raise CyclicGraph(f"level sweep stalled on cycle {witness}")
     return levels
 
 
-def assign_payoffs_topological(graph: RPGraph) -> BimatrixGame:
-    """Zero-sum payoffs from levels: A[v] = level(v), B = -A."""
-    levels = topological_levels(graph)
-    a = tuple(
-        tuple(Fraction(levels[StrategyProfile(i, j)]) for j in range(1, graph.n + 1))
-        for i in range(1, graph.n + 1)
-    )
-    b = tuple(tuple(-x for x in row) for row in a)
-    return BimatrixGame(graph.n, a, b)
-
-
-def assign_payoffs_split(graph: SplitRPGraph) -> BimatrixGame:
-    """Payoffs from split levels.
+def assign_payoffs_split(graph: RPGraph) -> BimatrixGame:
+    """Payoffs from levels.
 
     Intact vertices price both matrices (A = level, B = -level); an R copy
     prices only A and a C copy only B, so A + B can be nonzero only on
@@ -365,8 +273,13 @@ def assign_payoffs_split(graph: SplitRPGraph) -> BimatrixGame:
     b = [[Fraction(0)] * graph.n for _ in range(graph.n)]
     for vertex, level in levels.items():
         r, c = vertex.row - 1, vertex.col - 1
-        if vertex.tag in ("", "R"):
+        if vertex.tag != "C":
             a[r][c] = Fraction(level)
-        if vertex.tag in ("", "C"):
+        if vertex.tag != "R":
             b[r][c] = Fraction(-level)
     return BimatrixGame(graph.n, tuple(map(tuple, a)), tuple(map(tuple, b)))
+
+
+def assign_payoffs_topological(graph: RPGraph) -> BimatrixGame:
+    """Zero-sum payoffs A = level, B = -A of a graph that splits nothing."""
+    return assign_payoffs_split(graph)

@@ -17,8 +17,6 @@ satisfies the uniqueness property and its crossing span is n/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .errors import (
@@ -140,55 +138,21 @@ def uniqueness_variant(dataset: DataSet) -> DataSet:
     return validate_dataset(triples, 2 * m)
 
 
-@dataclass(frozen=True)
-class BlockDifferenceOperator:
-    """The (n/2) x n differencing map P with rows +1 at 2i-1 and -1 at 2i.
-
-    Conjugating C = A + B by P collapses each 2x2 block to the alternating
-    sum of its entries; for a rationalizing game of a 2-regular dataset the
-    result's sign pattern is the block pattern itself.
-    """
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2 or self.n % 2 != 0:
-            raise InvalidSize(f"block differencing needs even n >= 2, got {self.n}")
-
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        half = self.n // 2
-        rows = []
-        for i in range(1, half + 1):
-            row = [0] * self.n
-            row[2 * i - 2] = 1
-            row[2 * i - 1] = -1
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def conjugate(self, c_matrix) -> tuple[tuple[Fraction, ...], ...]:
-        """L = P C P^T by explicit multiplication."""
-        if len(c_matrix) != self.n or any(len(row) != self.n for row in c_matrix):
-            raise SizeMismatch(f"matrix must be {self.n}x{self.n}")
-        p = self.matrix()
-        half = self.n // 2
-        # P C
-        pc = [
-            [sum(Fraction(p[i][a]) * Fraction(c_matrix[a][b]) for a in range(self.n)) for b in range(self.n)]
-            for i in range(half)
-        ]
-        # (P C) P^T
-        return tuple(
-            tuple(sum(pc[i][b] * Fraction(p[j][b]) for b in range(self.n)) for j in range(half))
-            for i in range(half)
-        )
-
-
 def block_difference_certificate(game: BimatrixGame, sign: SignMatrix) -> bool:
-    """Whether blockwise differencing of A + B reproduces the sign matrix."""
+    """Whether blockwise differencing of A + B reproduces the sign matrix.
+
+    Each 2x2 block of C = A + B collapses to its alternating sum
+    C[2i-1,2j-1] - C[2i-1,2j] - C[2i,2j-1] + C[2i,2j]; for a rationalizing
+    game of a 2-regular dataset the result's sign pattern is the block
+    pattern itself.
+    """
     if game.n != 2 * sign.order:
         raise SizeMismatch(f"game is {game.n}x{game.n}, sign matrix of order {sign.order} needs n={2 * sign.order}")
-    operator = BlockDifferenceOperator(game.n)
-    return sign_pattern(operator.conjugate(game.total())) == sign
+    c = game.total()
+    blocks = range(0, game.n, 2)
+    return sign_pattern(
+        tuple(tuple(c[r][s] - c[r][s + 1] - c[r + 1][s] + c[r + 1][s + 1] for s in blocks) for r in blocks)
+    ) == sign
 
 
 def hadamard_minrank_bound(order: int) -> int:

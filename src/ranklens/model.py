@@ -235,16 +235,7 @@ def is_strict_equilibrium(game: BimatrixGame, subgame: Subgame, profile: Strateg
     profile = StrategyProfile(*profile)
     if not subgame.contains(profile):
         raise ProfileOutsideSubgame(f"profile {profile} lies outside subgame {subgame}")
-    i, j = profile
-    own_a = game.a[i - 1][j - 1]
-    for i2 in subgame.rows:
-        if i2 != i and own_a <= game.a[i2 - 1][j - 1]:
-            return False
-    own_b = game.b[i - 1][j - 1]
-    for j2 in subgame.cols:
-        if j2 != j and own_b <= game.b[i - 1][j2 - 1]:
-            return False
-    return True
+    return rationalizes(game, DataSet(game.n, (Observation(profile, subgame),))).ok
 
 
 def strict_equilibria(game: BimatrixGame, subgame: Subgame) -> frozenset[StrategyProfile]:
@@ -272,28 +263,23 @@ class VerificationReport:
     failures: tuple[ObservationFailure, ...]
 
 
-def _first_violation(game: BimatrixGame, obs: Observation) -> str | None:
-    i, j = obs.choice
-    own_a = game.a[i - 1][j - 1]
-    for i2 in obs.subgame.rows:
-        if i2 != i and own_a <= game.a[i2 - 1][j - 1]:
-            return f"A[{i},{j}]={own_a} <= A[{i2},{j}]={game.a[i2 - 1][j - 1]}"
-    own_b = game.b[i - 1][j - 1]
-    for j2 in obs.subgame.cols:
-        if j2 != j and own_b <= game.b[i - 1][j2 - 1]:
-            return f"B[{i},{j}]={own_b} <= B[{i},{j2}]={game.b[i - 1][j2 - 1]}"
-    return None
-
-
 def rationalizes(game: BimatrixGame, dataset: DataSet) -> VerificationReport:
-    """Check that every observed choice is a strict equilibrium of its subgame."""
+    """Check that every observed choice is a strict equilibrium of its subgame.
+
+    Each failure spells out the first violated inequality, row player first.
+    """
     if game.n != dataset.n:
         raise SizeMismatch(f"game is {game.n}x{game.n} but dataset expects n={dataset.n}")
     failures = []
     for obs in dataset.observations:
-        violation = _first_violation(game, obs)
-        if violation is not None:
-            failures.append(ObservationFailure(obs, violation))
+        (i, j), subgame = obs.choice, obs.subgame
+        deviations = [("A", game.a, i2, j) for i2 in subgame.rows if i2 != i]
+        deviations += [("B", game.b, i, j2) for j2 in subgame.cols if j2 != j]
+        for name, matrix, r, c in deviations:
+            own, other = matrix[i - 1][j - 1], matrix[r - 1][c - 1]
+            if own <= other:
+                failures.append(ObservationFailure(obs, f"{name}[{i},{j}]={own} <= {name}[{r},{c}]={other}"))
+                break
     return VerificationReport(ok=not failures, failures=tuple(failures))
 
 

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceeded, SizeMismatch
-from .graphs import RPGraph, implement_edges, is_acyclic
+from .graphs import build_split_graph, is_acyclic
 from .model import BimatrixGame, DataSet, StrategyProfile, Subgame, strict_equilibria
 
 
@@ -23,32 +23,32 @@ from .model import BimatrixGame, DataSet, StrategyProfile, Subgame, strict_equil
 class SearchConfig:
     """Budget and behavior of brute_force_min_rank.
 
-    max_abs_payoff bounds every matrix entry in absolute value; max_n caps
-    the game size (the box grows as (2M+1)^(2 n^2)). deterministic_order
-    documents that enumeration runs in a fixed order; results are
-    independent of any partitioning either way. zero_sum_shortcut answers
-    rank-0 queries through the implement-graph acyclicity test before
-    enumerating; disable it to keep the enumeration fully independent of
-    the graph machinery.
+    max_abs_payoff bounds every matrix entry in absolute value and must be
+    nonnegative. max_n caps the game size (each side's box holds
+    (2M+1)^(n^2) matrices); above n = 2 only the answers None and 0 are
+    exact, and a positive minimum rank raises BudgetExceeded instead.
+    zero_sum_shortcut answers rank-0 queries through the revealed-preference
+    graph's acyclicity test before enumerating; disable it to keep the
+    enumeration fully independent of the graph machinery.
     """
 
     max_abs_payoff: int = 3
     max_n: int = 2
-    deterministic_order: bool = True
     zero_sum_shortcut: bool = True
+
+    def __post_init__(self) -> None:
+        if self.max_abs_payoff < 0:
+            raise BudgetExceeded(f"max_abs_payoff must be nonnegative, got {self.max_abs_payoff}")
 
 
 def zero_sum_feasible(dataset: DataSet) -> bool:
     """Whether a zero-sum game rationalizes the dataset.
 
-    With B = -A every column-player inequality also constrains A, so all
-    implement edges become A-orderings on one graph; feasibility is that
-    graph's acyclicity.
+    With B = -A every column-player inequality also constrains A, so every
+    edge of the plain revealed-preference graph becomes an A-ordering;
+    feasibility is that graph's acyclicity.
     """
-    edges = set()
-    for obs in dataset.observations:
-        edges |= implement_edges(obs)
-    return is_acyclic(RPGraph(dataset.n, frozenset(edges))).acyclic
+    return is_acyclic(build_split_graph(dataset)).acyclic
 
 
 def all_subgame_equilibria(game: BimatrixGame, dataset: DataSet) -> dict[Subgame, frozenset[StrategyProfile]]:
@@ -89,8 +89,10 @@ def brute_force_min_rank(dataset: DataSet, config: SearchConfig = SearchConfig()
     """Minimum game rank over all rationalizing integer games in the box,
     or None when the box holds no rationalizing game.
 
-    Exact for n <= 2: rank 0 is B = -A, and a 2x2 sum matrix has rank
-    <= 1 iff its determinant vanishes.
+    Rank 0 is B = -A and None an empty side, exact at any n. A positive
+    rank is exact for n <= 2 only: a 1x1 sum matrix has rank 1, and a 2x2
+    one has rank <= 1 iff its determinant vanishes. Larger n raises
+    BudgetExceeded instead.
     """
     n = dataset.n
     if n > config.max_n:
@@ -109,6 +111,8 @@ def brute_force_min_rank(dataset: DataSet, config: SearchConfig = SearchConfig()
         return 0
     if n == 1:
         return 1
+    if n > 2:
+        raise BudgetExceeded(f"n={n}: the exact search finds a positive minimum rank for n <= 2 only")
 
     # n == 2: scan A + B determinants in chunks to bound memory.
     a0, a1, a2, a3 = (side_a[:, k] for k in range(4))

@@ -23,14 +23,12 @@ from .errors import NotLaminar, NotRationalizable, SubgameNotFull, UniquenessVio
 from .graphs import (
     COL,
     ROW,
-    Edge,
     RPGraph,
     assign_payoffs_split,
     assign_payoffs_topological,
     build_split_graph,
     build_strong_laminar_graph,
     is_acyclic,
-    topological_levels,
 )
 from .model import (
     BimatrixGame,
@@ -41,7 +39,7 @@ from .model import (
     game_rank,
     rationalizes,
 )
-from .structure import dedupe_nested, is_laminar, satisfies_uniqueness
+from .structure import StructureReport, analyze, dedupe_nested
 
 
 @dataclass(frozen=True)
@@ -72,35 +70,23 @@ class RationalizabilityResult:
         return self.rationalizable
 
 
-def _row_constraint_graph(dataset: DataSet) -> RPGraph:
-    edges = set()
-    for obs in dataset.observations:
-        (i, j) = obs.choice
-        for i2 in obs.subgame.rows:
-            if i2 != i:
-                edges.add(Edge(StrategyProfile(i, j), StrategyProfile(i2, j), ROW))
-    return RPGraph(dataset.n, frozenset(edges))
+def _profiles(cycle) -> tuple[StrategyProfile, ...]:
+    return tuple(StrategyProfile(v.row, v.col) for v in cycle)
 
 
-def _col_constraint_graph(dataset: DataSet) -> RPGraph:
-    edges = set()
-    for obs in dataset.observations:
-        (i, j) = obs.choice
-        for j2 in obs.subgame.cols:
-            if j2 != j:
-                edges.add(Edge(StrategyProfile(i, j2), StrategyProfile(i, j), COL))
-    return RPGraph(dataset.n, frozenset(edges))
+def _player_cycle(graph: RPGraph) -> CycleWitness | None:
+    """A cycle among the graph's row edges, else among its column edges."""
+    for kind, player in ((ROW, "row"), (COL, "column")):
+        check = is_acyclic(RPGraph(graph.n, frozenset(e for e in graph.edges if e.kind == kind), graph.split))
+        if not check.acyclic:
+            return CycleWitness(player, _profiles(check.cycle))
+    return None
 
 
 def is_rationalizable(dataset: DataSet) -> RationalizabilityResult:
     """Decide rationalizability; on failure, exhibit one player's cycle."""
-    row_check = is_acyclic(_row_constraint_graph(dataset))
-    if not row_check.acyclic:
-        return RationalizabilityResult(False, CycleWitness("row", row_check.cycle))
-    col_check = is_acyclic(_col_constraint_graph(dataset))
-    if not col_check.acyclic:
-        return RationalizabilityResult(False, CycleWitness("column", col_check.cycle))
-    return RationalizabilityResult(True, None)
+    witness = _player_cycle(build_split_graph(dataset))
+    return RationalizabilityResult(witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -210,6 +196,11 @@ def _shared_line_witness(first: StrategyProfile, second: StrategyProfile) -> Cyc
     return CycleWitness("row", (first, second))
 
 
+def _require_uniqueness(report: StructureReport) -> None:
+    if not report.uniqueness:
+        raise UniquenessViolated(f"uniqueness fails for pair {report.uniqueness_violation}")
+
+
 def rationalize_zero_sum(dataset: DataSet) -> RationalizationCertificate:
     """Zero-sum rationalization of a laminar uniqueness dataset.
 
@@ -217,13 +208,14 @@ def rationalize_zero_sum(dataset: DataSet) -> RationalizationCertificate:
     prices it by levels; the observed choice is then the unique strict
     equilibrium of every observed subgame.
     """
-    if not is_laminar(dataset):
+    return _zero_sum(dataset, analyze(dataset))
+
+
+def _zero_sum(dataset: DataSet, report: StructureReport) -> RationalizationCertificate:
+    if not report.laminar:
         raise NotLaminar("dataset has crossing subgames")
-    check = satisfies_uniqueness(dataset)
-    if not check.ok:
-        raise UniquenessViolated(f"uniqueness fails for pair {check.violation}")
-    deduped = dedupe_nested(dataset)
-    graph = build_strong_laminar_graph(deduped)
+    _require_uniqueness(report)
+    graph = build_strong_laminar_graph(dedupe_nested(dataset))
     game = assign_payoffs_topological(graph)
     return _certify(game, dataset, "zero_sum", rank_bound=0, uniqueness_guarantee=True)
 
@@ -231,19 +223,20 @@ def rationalize_zero_sum(dataset: DataSet) -> RationalizationCertificate:
 def _split_cycle_witness(cycle) -> CycleWitness:
     # A split-graph cycle alternates row and column edges; report it as
     # profile coordinates. Player attribution is mixed, label by majority tag.
-    profiles = tuple(StrategyProfile(v.row, v.col) for v in cycle)
     tags = [v.tag for v in cycle]
     player = "column" if tags.count("C") > tags.count("R") else "row"
-    return CycleWitness(player, profiles)
+    return CycleWitness(player, _profiles(cycle))
 
 
 def rationalize_bounded_rank(dataset: DataSet) -> RationalizationCertificate:
     """Rationalization of a uniqueness dataset with rank at most the
-    crossing span."""
-    check = satisfies_uniqueness(dataset)
-    if not check.ok:
-        raise UniquenessViolated(f"uniqueness fails for pair {check.violation}")
-    graph = build_split_graph(dataset)
+    crossing span: the split graph splits exactly the crossing choices."""
+    return _bounded_rank(dataset, analyze(dataset))
+
+
+def _bounded_rank(dataset: DataSet, report: StructureReport) -> RationalizationCertificate:
+    _require_uniqueness(report)
+    graph = build_split_graph(dataset, report.crossing_choices)
     acyclic = is_acyclic(graph)
     if not acyclic.acyclic:
         raise NotRationalizable(
@@ -257,26 +250,17 @@ def rationalize_bounded_rank(dataset: DataSet) -> RationalizationCertificate:
 def rationalize_general(dataset: DataSet) -> RationalizationCertificate:
     """Rationalization of any rationalizable dataset.
 
-    A is priced by levels on the row-player constraint graph alone and B on
-    the column-player graph alone (negated, so the choice's column payoff
-    is largest in its row). No rank guarantee.
+    Every profile is split, so A is priced by levels on the row-player
+    constraints alone and B on the column-player constraints alone
+    (negated, so the choice's column payoff is largest in its row). No
+    rank guarantee.
     """
-    result = is_rationalizable(dataset)
-    if not result.rationalizable:
-        ineqs = ", ".join(result.witness.inequalities())
-        raise NotRationalizable(f"contradictory preferences: {ineqs}", witness=result.witness)
-    n = dataset.n
-    row_levels = topological_levels(_row_constraint_graph(dataset))
-    col_levels = topological_levels(_col_constraint_graph(dataset))
-    a = tuple(
-        tuple(Fraction(row_levels[StrategyProfile(i, j)]) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
-    b = tuple(
-        tuple(Fraction(-col_levels[StrategyProfile(i, j)]) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
-    game = BimatrixGame(n, a, b)
+    graph = build_split_graph(dataset, full_subgame(dataset.n).grid())
+    witness = _player_cycle(graph)
+    if witness is not None:
+        ineqs = ", ".join(witness.inequalities())
+        raise NotRationalizable(f"contradictory preferences: {ineqs}", witness=witness)
+    game = assign_payoffs_split(graph)
     return _certify(game, dataset, "general", rank_bound=None, uniqueness_guarantee=False)
 
 
@@ -284,14 +268,15 @@ def rationalize_auto(dataset: DataSet) -> RationalizationCertificate:
     """Dispatch to the strongest applicable method.
 
     Full subgames -> rank_one; laminar + uniqueness -> zero_sum;
-    uniqueness -> bounded_rank; otherwise general.
+    uniqueness -> bounded_rank; otherwise general. The dataset is
+    classified once, and the chosen route reuses that classification.
     """
     full = full_subgame(dataset.n)
     if all(subgame == full for subgame in dataset.subgames()):
         return rationalize_rank_one(dataset)
-    unique = satisfies_uniqueness(dataset).ok
-    if unique and is_laminar(dataset):
-        return rationalize_zero_sum(dataset)
-    if unique:
-        return rationalize_bounded_rank(dataset)
+    report = analyze(dataset)
+    if report.uniqueness and report.laminar:
+        return _zero_sum(dataset, report)
+    if report.uniqueness:
+        return _bounded_rank(dataset, report)
     return rationalize_general(dataset)

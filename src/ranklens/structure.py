@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotLaminar, UniquenessViolated
 from .model import DataSet, Observation, StrategyProfile, Subgame
 
 
@@ -47,6 +46,7 @@ class StructureReport:
     row_span: int
     col_span: int
     crossing_span: int
+    uniqueness_violation: tuple[Observation, Observation] | None
 
 
 @dataclass(frozen=True)
@@ -92,14 +92,16 @@ def analyze(dataset: DataSet) -> StructureReport:
     )
     row_span = len({profile.row for profile in choices})
     col_span = len({profile.col for profile in choices})
+    uniqueness = satisfies_uniqueness(dataset)
     return StructureReport(
         laminar=not crossing,
-        uniqueness=satisfies_uniqueness(dataset).ok,
+        uniqueness=uniqueness.ok,
         crossing_subgames=crossing,
         crossing_choices=choices,
         row_span=row_span,
         col_span=col_span,
         crossing_span=min(row_span, col_span),
+        uniqueness_violation=uniqueness.violation,
     )
 
 
@@ -150,9 +152,11 @@ class LaminarForest:
 
 
 def laminar_forest(dataset: DataSet) -> LaminarForest:
-    """Build the containment forest; requires a laminar dataset."""
-    if not is_laminar(dataset):
-        raise NotLaminar("dataset has crossing subgames")
+    """Build the containment forest of a laminar dataset.
+
+    The caller guarantees laminarity; on crossing data the result is not a
+    containment forest.
+    """
     subgames = dataset.subgames()
     parent_index: list[int | None] = []
     for s in subgames:
@@ -181,15 +185,10 @@ def laminar_forest(dataset: DataSet) -> LaminarForest:
 def dedupe_nested(dataset: DataSet) -> DataSet:
     """Drop observations subsumed by a same-choice observation on a larger grid.
 
-    Requires laminarity and uniqueness. In the result, observed choices
-    are pairwise distinct: same-choice subgames are nested under
-    laminarity, and only the outermost survives.
+    The caller guarantees laminarity and uniqueness. In the result,
+    observed choices are pairwise distinct: same-choice subgames are nested
+    under laminarity, and only the outermost survives.
     """
-    if not is_laminar(dataset):
-        raise NotLaminar("dataset has crossing subgames")
-    check = satisfies_uniqueness(dataset)
-    if not check.ok:
-        raise UniquenessViolated(f"uniqueness fails for pair {check.violation}")
     kept = []
     for obs in dataset.observations:
         subsumed = any(

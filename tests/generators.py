@@ -14,6 +14,25 @@ from random import Random
 from ranklens import DataSet, RanklensError, satisfies_uniqueness, validate_dataset
 
 
+def all_two_by_two_observations():
+    """Every (choice, subgame) pair on the 2x2 grid, 16 in all."""
+    axis = [(1,), (2,), (1, 2)]
+    out = []
+    for rows, cols in product(axis, axis):
+        for r, c in product(rows, cols):
+            out.append(((r, c), rows, cols))
+    return out
+
+
+def two_by_two_sweep() -> list[DataSet]:
+    """The 697 datasets of at most three observations on the 2x2 game."""
+    pool = all_two_by_two_observations()
+    datasets = [validate_dataset([], 2)]
+    for size in (1, 2, 3):
+        datasets += [validate_dataset(list(chosen), 2) for chosen in combinations(pool, size)]
+    return datasets
+
+
 def random_laminar_unique_dataset(rng: Random, n: int, max_depth: int = 3) -> DataSet:
     """Random laminar dataset satisfying the uniqueness property.
 

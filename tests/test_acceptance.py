@@ -6,7 +6,6 @@ constants; seeds are fixed so every run sees the same corpora.
 """
 
 import time
-from itertools import combinations, product
 from random import Random
 
 from ranklens import (
@@ -39,6 +38,7 @@ from .generators import (
     random_laminar_unique_dataset,
     random_uniqueness_dataset,
     rank_one_sign_realizable,
+    two_by_two_sweep,
 )
 
 DIAG_TEXT = '{"n":2,"observations":[{"choice":[1,1],"cols":[1,2],"rows":[1,2]},{"choice":[2,2],"cols":[1,2],"rows":[1,2]}]}\n'
@@ -53,15 +53,6 @@ def record(number: int, ok: bool, detail: str) -> None:
     verdict = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {number}: {verdict} ({detail})")
     assert ok, f"criterion {number} failed: {detail}"
-
-
-def all_two_by_two_observations():
-    axis = [(1,), (2,), (1, 2)]
-    out = []
-    for rows, cols in product(axis, axis):
-        for r, c in product(rows, cols):
-            out.append(((r, c), rows, cols))
-    return out
 
 
 def test_criterion_1_rank_one_document_and_speed(tmp_path, capsys, diag_dataset):
@@ -204,11 +195,8 @@ def test_criterion_7_variant_span_scales():
 
 def test_criterion_8_exhaustive_sweep():
     start = time.perf_counter()
-    pool = all_two_by_two_observations()
     config = SearchConfig(max_abs_payoff=3, zero_sum_shortcut=False)
-    datasets = [validate_dataset([], 2)]
-    for size in (1, 2, 3):
-        datasets += [validate_dataset(list(chosen), 2) for chosen in combinations(pool, size)]
+    datasets = two_by_two_sweep()
     checked = 0
     for ds in datasets:
         minimum = brute_force_min_rank(ds, config)

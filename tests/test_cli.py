@@ -190,6 +190,14 @@ class TestMinrank:
         assert main(["minrank", path, "--max-abs", "1"]) == 0
         assert capsys.readouterr().out == "1\n"
 
+    def test_negative_radius(self, write, capsys):
+        path = write("ds.json", DIAG)
+        assert main(["minrank", path, "--max-abs", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "BudgetExceeded"
+
     def test_budget(self, write, capsys):
         path = write("ds.json", '{"n":3,"observations":[{"choice":[1,1],"cols":[1,2,3],"rows":[1,2,3]}]}')
         assert main(["minrank", path]) == 2

@@ -10,12 +10,10 @@ from ranklens import (
     CyclicGraph,
     Edge,
     NotDeduped,
-    NotLaminar,
     RPGraph,
-    SplitRPGraph,
     SplitVertex,
     StrategyProfile,
-    UniquenessViolated,
+    analyze,
     assign_payoffs_split,
     assign_payoffs_topological,
     build_split_graph,
@@ -23,7 +21,6 @@ from ranklens import (
     crossing_span,
     dedupe_nested,
     game_rank,
-    implement_edges,
     is_acyclic,
     is_rationalizable,
     rationalizes,
@@ -38,46 +35,55 @@ def P(r, c):
     return StrategyProfile(r, c)
 
 
+def V(r, c, tag=""):
+    return SplitVertex(r, c, tag)
+
+
+def crossing_split_graph(dataset):
+    """The bounded-rank route's graph: the crossing choices split."""
+    return build_split_graph(dataset, analyze(dataset).crossing_choices)
+
+
 class TestImplementEdges:
     def test_column_strip(self):
         ds = validate_dataset([((1, 1), (1, 2), (1,))], 2)
-        assert implement_edges(ds.observations[0]) == {Edge(P(1, 1), P(2, 1), ROW)}
+        assert build_split_graph(ds).edges == {Edge(V(1, 1), V(2, 1), ROW)}
 
     def test_full_three_by_three(self):
         ds = validate_dataset([((1, 1), (1, 2, 3), (1, 2, 3))], 3)
-        assert implement_edges(ds.observations[0]) == {
-            Edge(P(1, 1), P(2, 1), ROW),
-            Edge(P(1, 1), P(3, 1), ROW),
-            Edge(P(1, 2), P(1, 1), COL),
-            Edge(P(1, 3), P(1, 1), COL),
+        assert build_split_graph(ds).edges == {
+            Edge(V(1, 1), V(2, 1), ROW),
+            Edge(V(1, 1), V(3, 1), ROW),
+            Edge(V(1, 2), V(1, 1), COL),
+            Edge(V(1, 3), V(1, 1), COL),
         }
 
     def test_singleton_subgame_has_no_edges(self):
         ds = validate_dataset([((2, 2), (2,), (2,))], 2)
-        assert implement_edges(ds.observations[0]) == frozenset()
+        assert build_split_graph(ds).edges == frozenset()
 
 
 class TestGraphValidation:
     def test_row_edge_must_keep_column(self):
         with pytest.raises(ValueError):
-            RPGraph(2, frozenset({Edge(P(1, 1), P(2, 2), ROW)}))
+            RPGraph(2, frozenset({Edge(V(1, 1), V(2, 2), ROW)}))
 
     def test_vertex_out_of_range(self):
         with pytest.raises(ValueError):
-            RPGraph(2, frozenset({Edge(P(1, 1), P(3, 1), ROW)}))
+            RPGraph(2, frozenset({Edge(V(1, 1), V(3, 1), ROW)}))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            RPGraph(2, frozenset({Edge(P(1, 1), P(2, 1), "diag")}))
+            RPGraph(2, frozenset({Edge(V(1, 1), V(2, 1), "diag")}))
 
     def test_split_row_edge_may_not_touch_col_copy(self):
         split = frozenset({P(2, 2)})
         bad = Edge(SplitVertex(2, 2, "C"), SplitVertex(1, 2, ""), ROW)
         with pytest.raises(ValueError):
-            SplitRPGraph(2, split, frozenset({bad}))
+            RPGraph(2, frozenset({bad}), split)
 
     def test_split_vertex_roster(self):
-        graph = SplitRPGraph(2, frozenset({P(2, 2)}), frozenset())
+        graph = RPGraph(2, frozenset(), frozenset({P(2, 2)}))
         assert graph.vertices == (
             SplitVertex(1, 1, ""),
             SplitVertex(1, 2, ""),
@@ -92,32 +98,30 @@ class TestStrongLaminarGraph:
         ds = validate_dataset([((1, 1), (1, 2, 3), (1, 2, 3))], 3)
         graph = build_strong_laminar_graph(ds)
         assert graph.edges == {
-            Edge(P(1, 1), P(2, 1), ROW),
-            Edge(P(1, 1), P(3, 1), ROW),
-            Edge(P(1, 2), P(1, 1), COL),
-            Edge(P(1, 3), P(1, 1), COL),
-            Edge(P(1, 2), P(2, 2), ROW),
-            Edge(P(1, 2), P(3, 2), ROW),
-            Edge(P(1, 3), P(2, 3), ROW),
-            Edge(P(1, 3), P(3, 3), ROW),
+            Edge(V(1, 1), V(2, 1), ROW),
+            Edge(V(1, 1), V(3, 1), ROW),
+            Edge(V(1, 2), V(1, 1), COL),
+            Edge(V(1, 3), V(1, 1), COL),
+            Edge(V(1, 2), V(2, 2), ROW),
+            Edge(V(1, 2), V(3, 2), ROW),
+            Edge(V(1, 3), V(2, 3), ROW),
+            Edge(V(1, 3), V(3, 3), ROW),
         }
 
     def test_nested_dataset_edges_and_payoffs(self, nested_dataset):
         graph = build_strong_laminar_graph(nested_dataset)
         assert graph.edges == {
-            Edge(P(1, 1), P(2, 1), ROW),
-            Edge(P(1, 2), P(1, 1), COL),
-            Edge(P(1, 2), P(2, 2), ROW),
+            Edge(V(1, 1), V(2, 1), ROW),
+            Edge(V(1, 2), V(1, 1), COL),
+            Edge(V(1, 2), V(2, 2), ROW),
         }
         game = assign_payoffs_topological(graph)
         assert game.a == ((Fraction(2), Fraction(3)), (Fraction(1), Fraction(1)))
         assert game.b == ((Fraction(-2), Fraction(-3)), (Fraction(-1), Fraction(-1)))
 
-    def test_preconditions(self, diag_dataset, crossing_strips_dataset):
-        with pytest.raises(NotLaminar):
-            build_strong_laminar_graph(crossing_strips_dataset)
-        with pytest.raises(UniquenessViolated):
-            build_strong_laminar_graph(diag_dataset)
+    def test_preconditions(self):
+        # Laminarity and uniqueness are the caller's to check; see
+        # TestZeroSum::test_preconditions in test_rationalize.py.
         undeduped = validate_dataset([((2, 2), (1, 2), (1, 2)), ((2, 2), (2,), (2,))], 2)
         with pytest.raises(NotDeduped):
             build_strong_laminar_graph(undeduped)
@@ -129,8 +133,7 @@ class TestStrongLaminarGraph:
             deduped = dedupe_nested(ds)
             graph = build_strong_laminar_graph(deduped)
             assert is_acyclic(graph).acyclic
-            for obs in deduped.observations:
-                assert implement_edges(obs) <= graph.edges
+            assert build_split_graph(deduped).edges <= graph.edges
             game = assign_payoffs_topological(graph)
             assert game.is_zero_sum
             assert rationalizes(game, ds).ok
@@ -143,7 +146,7 @@ class TestLevels:
         ds = validate_dataset([((1, 1), (1, 2), (1,))], 2)
         graph = build_strong_laminar_graph(ds)
         levels = topological_levels(graph)
-        assert levels == {P(1, 1): 2, P(1, 2): 1, P(2, 1): 1, P(2, 2): 1}
+        assert levels == {V(1, 1): 2, V(1, 2): 1, V(2, 1): 1, V(2, 2): 1}
         game = assign_payoffs_topological(graph)
         assert game.a == ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
         assert game.b == ((Fraction(-2), Fraction(-1)), (Fraction(-1), Fraction(-1)))
@@ -159,10 +162,10 @@ class TestLevels:
 
     def test_cycle_detection(self):
         cyclic = RPGraph(
-            2, frozenset({Edge(P(1, 1), P(2, 1), ROW), Edge(P(2, 1), P(1, 1), ROW)})
+            2, frozenset({Edge(V(1, 1), V(2, 1), ROW), Edge(V(2, 1), V(1, 1), ROW)})
         )
         check = is_acyclic(cyclic)
-        assert check == AcyclicityCheck(False, (P(1, 1), P(2, 1)))
+        assert check == AcyclicityCheck(False, (V(1, 1), V(2, 1)))
         with pytest.raises(CyclicGraph):
             topological_levels(cyclic)
 
@@ -173,7 +176,7 @@ class TestLevels:
 
 class TestSplitGraph:
     def test_crossing_strips(self, crossing_strips_dataset):
-        graph = build_split_graph(crossing_strips_dataset)
+        graph = crossing_split_graph(crossing_strips_dataset)
         assert graph.split == {P(2, 2)}
         assert graph.span == 1
         assert graph.edges == {
@@ -182,7 +185,7 @@ class TestSplitGraph:
         }
 
     def test_crossing_strips_payoffs(self, crossing_strips_dataset):
-        game = assign_payoffs_split(build_split_graph(crossing_strips_dataset))
+        game = assign_payoffs_split(crossing_split_graph(crossing_strips_dataset))
         assert game.a == ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(2)))
         assert game.b == ((Fraction(-1), Fraction(-1)), (Fraction(-2), Fraction(-1)))
         assert not game.is_zero_sum
@@ -190,28 +193,31 @@ class TestSplitGraph:
         assert rationalizes(game, crossing_strips_dataset).ok
 
     def test_laminar_dataset_splits_nothing(self, nested_dataset):
-        graph = build_split_graph(nested_dataset)
+        graph = crossing_split_graph(nested_dataset)
         assert graph.split == frozenset()
         assert graph.span == 0
         game = assign_payoffs_split(graph)
         assert game.is_zero_sum
 
-    def test_uniqueness_required(self, diag_dataset):
-        with pytest.raises(UniquenessViolated):
-            build_split_graph(diag_dataset)
+    def test_empty_split_gives_plain_graph(self, crossing_strips_dataset):
+        graph = build_split_graph(crossing_strips_dataset)
+        assert graph.split == frozenset()
+        assert graph.span == 0
+        assert graph.edges == {Edge(V(2, 2), V(1, 2), ROW), Edge(V(2, 1), V(2, 2), COL)}
+        assert graph.to_dot().startswith("digraph revealed_preference {")
 
     def test_span_matches_structure_report(self):
         rng = Random(37)
         for _ in range(40):
             ds = random_uniqueness_dataset(rng, rng.randint(2, 7))
-            assert build_split_graph(ds).span == crossing_span(ds)
+            assert crossing_split_graph(ds).span == crossing_span(ds)
 
     def test_acyclic_iff_rationalizable(self):
         rng = Random(41)
         checked_cyclic = 0
         for _ in range(60):
             ds = random_uniqueness_dataset(rng, rng.randint(2, 7))
-            graph = build_split_graph(ds)
+            graph = crossing_split_graph(ds)
             acyclic = is_acyclic(graph).acyclic
             assert acyclic == is_rationalizable(ds).rationalizable
             if acyclic:
@@ -234,7 +240,7 @@ class TestDot:
         assert dot.endswith("}\n")
 
     def test_split_graph_dot(self, crossing_strips_dataset):
-        dot = build_split_graph(crossing_strips_dataset).to_dot()
+        dot = crossing_split_graph(crossing_strips_dataset).to_dot()
         assert dot.startswith("digraph split_revealed_preference {")
         assert '"2,2,R" -> "1,2" [kind=row];' in dot
         assert '"2,1" -> "2,2,C" [kind=col];' in dot

@@ -4,7 +4,8 @@ from random import Random
 import pytest
 
 from ranklens import (
-    BlockDifferenceOperator,
+    BimatrixGame,
+    DataSet,
     InvalidSize,
     NotPowerOfTwo,
     NotTwoRegular,
@@ -13,14 +14,15 @@ from ranklens import (
     SizeMismatch,
     ZeroSignEntry,
     block_difference_certificate,
+    build_split_graph,
     crossing_span,
     hadamard_minrank_bound,
-    implement_edges,
     is_laminar,
     is_rationalizable,
     rationalize_bounded_rank,
     rationalize_general,
     satisfies_uniqueness,
+    sign_pattern,
     sylvester_hadamard,
     two_regular_dataset,
     two_regular_sign_pattern,
@@ -148,12 +150,12 @@ class TestUniquenessVariant:
                     set(o.subgame.rows) <= set(block.rows)
                     and set(o.subgame.cols) <= set(block.cols)
                 )
-                original_edges = frozenset().union(
-                    *(implement_edges(o) for o in original.observations if o.subgame == block)
-                )
-                variant_edges = frozenset().union(
-                    *(implement_edges(o) for o in variant.observations if in_block(o))
-                )
+                original_edges = build_split_graph(
+                    DataSet(original.n, tuple(o for o in original.observations if o.subgame == block))
+                ).edges
+                variant_edges = build_split_graph(
+                    DataSet(variant.n, tuple(o for o in variant.observations if in_block(o)))
+                ).edges
                 assert variant_edges == original_edges
 
     def test_structure(self):
@@ -172,32 +174,40 @@ class TestUniquenessVariant:
         assert block_difference_certificate(cert.game, H2)
 
 
-class TestBlockDifference:
-    def test_matrix_order_four(self):
-        assert BlockDifferenceOperator(4).matrix() == (
-            (1, -1, 0, 0),
-            (0, 0, 1, -1),
-        )
+def dense_block_difference(c):
+    """P C P^T by explicit multiplication, where P is the (n/2) x n map with
+    +1 at column 2i-1 and -1 at column 2i of row i."""
+    n = len(c)
+    p = [[0] * n for _ in range(n // 2)]
+    for i in range(n // 2):
+        p[i][2 * i], p[i][2 * i + 1] = 1, -1
+    pc = [[sum(p[i][a] * c[a][b] for a in range(n)) for b in range(n)] for i in range(n // 2)]
+    return [[sum(pc[i][b] * p[j][b] for b in range(n)) for j in range(n // 2)] for i in range(n // 2)]
 
+
+class TestBlockDifference:
     def test_size_validation(self):
-        for bad in (0, 1, 3, -2):
-            with pytest.raises(InvalidSize):
-                BlockDifferenceOperator(bad)
+        for n in (1, 3, 6):
+            zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+            with pytest.raises(SizeMismatch):
+                block_difference_certificate(BimatrixGame(n, zero, zero), H2)
 
     def test_conjugate_is_blockwise_alternating_sum(self):
         rng = Random(71)
         for n in (2, 4, 6):
-            operator = BlockDifferenceOperator(n)
             c = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-            left = operator.conjugate(c)
+            left = dense_block_difference(c)
             for i in range(n // 2):
                 for j in range(n // 2):
                     r, s = 2 * i, 2 * j
                     assert left[i][j] == c[r][s] - c[r][s + 1] - c[r + 1][s] + c[r + 1][s + 1]
-
-    def test_conjugate_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
-            BlockDifferenceOperator(4).conjugate([[1, 2], [3, 4]])
+            zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+            game = BimatrixGame(n, tuple(map(tuple, c)), zero)
+            pattern = sign_pattern(left)
+            assert block_difference_certificate(game, pattern)
+            flipped = [list(row) for row in pattern.entries]
+            flipped[0][0] = -flipped[0][0] if flipped[0][0] else 1
+            assert not block_difference_certificate(game, SignMatrix(tuple(map(tuple, flipped))))
 
     def test_certificate_on_synthesized_game(self):
         ds = two_regular_dataset(H2)
@@ -205,15 +215,11 @@ class TestBlockDifference:
         assert block_difference_certificate(cert.game, H2)
 
     def test_certificate_rejects_flat_game(self):
-        from ranklens import BimatrixGame
-
         zero = tuple(tuple(Fraction(0) for _ in range(4)) for _ in range(4))
         game = BimatrixGame(4, zero, zero)
         assert not block_difference_certificate(game, H2)
 
     def test_certificate_size_mismatch(self):
-        from ranklens import BimatrixGame
-
         zero = tuple(tuple(Fraction(0) for _ in range(2)) for _ in range(2))
         with pytest.raises(SizeMismatch):
             block_difference_certificate(BimatrixGame(2, zero, zero), H2)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -17,19 +17,9 @@ from ranklens import (
     validate_dataset,
     zero_sum_feasible,
 )
-from .generators import col_side_ok, naive_min_rank, row_side_ok
+from .generators import all_two_by_two_observations, col_side_ok, naive_min_rank, row_side_ok
 
 NO_SHORTCUT = SearchConfig(zero_sum_shortcut=False)
-
-
-def all_two_by_two_observations():
-    """Every (choice, subgame) pair on the 2x2 grid, 16 in all."""
-    axis = [(1,), (2,), (1, 2)]
-    out = []
-    for rows, cols in product(axis, axis):
-        for r, c in product(rows, cols):
-            out.append(((r, c), rows, cols))
-    return out
 
 
 class TestZeroSumFeasible:
@@ -85,6 +75,20 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded):
             brute_force_min_rank(ds)
         assert brute_force_min_rank(ds, SearchConfig(max_n=3, max_abs_payoff=1, zero_sum_shortcut=True)) == 0
+
+    def test_positive_rank_beyond_order_two_is_refused(self):
+        # Both diagonal choices on a 2x2 subgame need rank >= 1, which the
+        # search can only certify exactly for n <= 2.
+        ds = validate_dataset([((1, 1), (1, 2), (1, 2)), ((2, 2), (1, 2), (1, 2))], 3)
+        config = SearchConfig(max_n=3, max_abs_payoff=1)
+        with pytest.raises(BudgetExceeded):
+            brute_force_min_rank(ds, config)
+        contradictory = validate_dataset([((1, 1), (1, 2), (1,)), ((2, 1), (1, 2), (1,))], 3)
+        assert brute_force_min_rank(contradictory, config) is None
+
+    def test_negative_radius_is_refused(self):
+        with pytest.raises(BudgetExceeded):
+            SearchConfig(max_abs_payoff=-1)
 
     def test_matches_naive_reference_at_radius_one(self):
         pool = all_two_by_two_observations()

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -10,6 +12,7 @@ from ranklens import (
     StrategyProfile,
     SubgameNotFull,
     UniquenessViolated,
+    analyze,
     full_subgame,
     game_rank,
     is_rationalizable,
@@ -24,7 +27,7 @@ from ranklens import (
     two_regular_dataset,
     validate_dataset,
 )
-from .generators import random_laminar_unique_dataset, random_uniqueness_dataset
+from .generators import random_laminar_unique_dataset, random_uniqueness_dataset, two_by_two_sweep
 
 
 def P(r, c):
@@ -259,3 +262,72 @@ class TestAuto:
             assert rationalizes(cert.game, ds).ok
             if cert.rank_bound is not None:
                 assert cert.rank <= cert.rank_bound
+
+
+@pytest.fixture
+def classification_calls(monkeypatch):
+    """Counts calls of the pairwise classifiers, through every ranklens
+    namespace that holds a reference to them."""
+    import ranklens.structure as structure
+
+    calls = Counter()
+    for name in ("satisfies_uniqueness", "crossing_set"):
+        original = getattr(structure, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "ranklens" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def property_corpus():
+    """The 697-dataset 2x2 sweep plus seeded random uniqueness datasets."""
+    rng = Random(67)
+    return two_by_two_sweep() + [random_uniqueness_dataset(rng, rng.randint(2, 7)) for _ in range(150)]
+
+
+class TestProperties:
+    def test_auto_rejects_exactly_the_unrationalizable(self):
+        for ds in property_corpus():
+            rationalizable = is_rationalizable(ds).rationalizable
+            try:
+                rationalize_auto(ds)
+            except NotRationalizable:
+                assert not rationalizable, ds
+            else:
+                assert rationalizable, ds
+
+    def test_rank_within_crossing_span_on_uniqueness_data(self):
+        checked = 0
+        for ds in property_corpus():
+            report = analyze(ds)
+            if not report.uniqueness or not is_rationalizable(ds):
+                continue
+            assert rationalize_bounded_rank(ds).rank <= report.crossing_span, ds
+            cert = rationalize_auto(ds)
+            # Full-subgame data goes to rank_one, whose rank is 1 at span 0.
+            assert cert.rank <= report.crossing_span or cert.method == "rank_one", ds
+            checked += 1
+        assert checked > 100
+
+    def test_each_call_classifies_once(
+        self, classification_calls, diag_dataset, nested_dataset, crossing_strips_dataset
+    ):
+        two_regular = two_regular_dataset(sylvester_hadamard(1))
+        calls = [
+            (rationalize_auto, diag_dataset, "rank_one"),
+            (rationalize_auto, nested_dataset, "zero_sum"),
+            (rationalize_auto, crossing_strips_dataset, "bounded_rank"),
+            (rationalize_auto, two_regular, "general"),
+            (rationalize_zero_sum, nested_dataset, "zero_sum"),
+            (rationalize_bounded_rank, crossing_strips_dataset, "bounded_rank"),
+        ]
+        for route, ds, method in calls:
+            classification_calls.clear()
+            assert route(ds).method == method
+            assert classification_calls["satisfies_uniqueness"] <= 1, (route.__name__, method)
+            assert classification_calls["crossing_set"] <= 1, (route.__name__, method)

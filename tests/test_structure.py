@@ -1,14 +1,11 @@
 from random import Random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranklens import (
-    NotLaminar,
     StrategyProfile,
     Subgame,
-    UniquenessViolated,
     analyze,
     crossing_set,
     crossing_span,
@@ -153,10 +150,6 @@ class TestLaminarForest:
         assert len(forest.roots) == 4
         assert forest.height() == 1
 
-    def test_not_laminar(self, crossing_strips_dataset):
-        with pytest.raises(NotLaminar):
-            laminar_forest(crossing_strips_dataset)
-
     def test_forest_invariants(self):
         rng = Random(19)
         for _ in range(40):
@@ -194,12 +187,6 @@ class TestDedupe:
 
     def test_distinct_choices_unchanged(self, nested_dataset):
         assert dedupe_nested(nested_dataset) == nested_dataset
-
-    def test_preconditions(self, diag_dataset, crossing_strips_dataset):
-        with pytest.raises(NotLaminar):
-            dedupe_nested(crossing_strips_dataset)
-        with pytest.raises(UniquenessViolated):
-            dedupe_nested(diag_dataset)
 
     def test_result_has_distinct_choices(self):
         rng = Random(23)
