@@ -17,6 +17,7 @@ satisfies the uniqueness property and its crossing span is n/2.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from itertools import product
 
 from .errors import (
@@ -37,7 +38,11 @@ from .model import (
     validate_dataset,
 )
 
-DEFAULT_ORDER_CAP = 2 ** 10
+# The largest order whose generate -> analyze -> rationalize -> verify CLI
+# pipeline on the uniqueness variant ends within 25 s: order 128 (n = 256)
+# takes 15-19 s on a 2-core x86-64 host under Python 3.11, and order 256
+# spends over 36 s in generate and analyze alone.
+DEFAULT_ORDER_CAP = 2 ** 7
 
 
 def sylvester_hadamard(k: int, size_cap: int = DEFAULT_ORDER_CAP) -> SignMatrix:
@@ -93,11 +98,14 @@ def two_regular_sign_pattern(dataset: DataSet) -> SignMatrix:
         raise NotTwoRegular(f"n={n} is odd")
     m = n // 2
     expected = {Subgame(*_block(i, j)): (i, j) for i, j in product(range(1, m + 1), repeat=2)}
-    if set(dataset.subgames()) != set(expected):
+    choices_of: dict[Subgame, set[StrategyProfile]] = defaultdict(set)
+    for obs in dataset.observations:
+        choices_of[obs.subgame].add(obs.choice)
+    if choices_of.keys() != expected.keys():
         raise NotTwoRegular("subgames are not exactly the 2x2 blocks")
     entries = [[0] * m for _ in range(m)]
     for subgame, (i, j) in expected.items():
-        choices = {obs.choice for obs in dataset.observations_for(subgame)}
+        choices = choices_of[subgame]
         rows, cols = _block(i, j)
         diagonal = {StrategyProfile(rows[0], cols[0]), StrategyProfile(rows[1], cols[1])}
         off_diagonal = {StrategyProfile(rows[0], cols[1]), StrategyProfile(rows[1], cols[0])}

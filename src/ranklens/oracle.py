@@ -18,6 +18,15 @@ from .errors import BudgetExceeded, SizeMismatch
 from .graphs import build_split_graph, is_acyclic
 from .model import BimatrixGame, DataSet, StrategyProfile, Subgame, strict_equilibria
 
+# Largest box the search enumerates: (2M+1)^(n^2) matrices per side. It
+# admits radius 6 at n = 2 (28,561 rows) and radius 1 at n = 3 (19,683).
+BOX_ROW_BUDGET = 1 << 15
+
+# Largest number of elements in one array of the n = 2 determinant scan
+# (8 MB of int64); a chunk of rows of side A times all of side B stays under
+# it. It exceeds BOX_ROW_BUDGET, so a chunk always holds at least one row.
+ELEMENT_BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -26,7 +35,9 @@ class SearchConfig:
     max_abs_payoff bounds every matrix entry in absolute value and must be
     nonnegative. max_n caps the game size (each side's box holds
     (2M+1)^(n^2) matrices); above n = 2 only the answers None and 0 are
-    exact, and a positive minimum rank raises BudgetExceeded instead.
+    exact, and a positive minimum rank raises BudgetExceeded instead. A box
+    of more than BOX_ROW_BUDGET rows raises BudgetExceeded before it is
+    allocated.
     zero_sum_shortcut answers rank-0 queries through the revealed-preference
     graph's acyclicity test before enumerating; disable it to keep the
     enumeration fully independent of the graph machinery.
@@ -101,6 +112,11 @@ def brute_force_min_rank(dataset: DataSet, config: SearchConfig = SearchConfig()
     if config.zero_sum_shortcut and zero_sum_feasible(dataset):
         return 0
 
+    rows = (2 * config.max_abs_payoff + 1) ** (n * n)
+    if rows > BOX_ROW_BUDGET:
+        raise BudgetExceeded(
+            f"max_abs_payoff={config.max_abs_payoff} at n={n} needs {rows} box rows, over the budget {BOX_ROW_BUDGET}"
+        )
     box = _enumerate_box(n, config.max_abs_payoff)
     side_a, side_b = _feasible_sides(dataset, box)
     if len(side_a) == 0 or len(side_b) == 0:
@@ -117,7 +133,7 @@ def brute_force_min_rank(dataset: DataSet, config: SearchConfig = SearchConfig()
     # n == 2: scan A + B determinants in chunks to bound memory.
     a0, a1, a2, a3 = (side_a[:, k] for k in range(4))
     b0, b1, b2, b3 = (side_b[:, k] for k in range(4))
-    chunk = 512
+    chunk = min(512, ELEMENT_BUDGET // len(side_b))
     for start in range(0, len(side_a), chunk):
         end = start + chunk
         s0 = a0[start:end, None] + b0[None, :]

@@ -11,7 +11,14 @@ from fractions import Fraction
 from itertools import combinations, product
 from random import Random
 
-from ranklens import DataSet, RanklensError, satisfies_uniqueness, validate_dataset
+from ranklens import (
+    DataSet,
+    LaminarForest,
+    RanklensError,
+    UniquenessCheck,
+    satisfies_uniqueness,
+    validate_dataset,
+)
 
 
 def all_two_by_two_observations():
@@ -216,3 +223,83 @@ def rank_one_sign_realizable(sign_rows, bound: int = 3) -> bool:
             if all(sgn(u[i] * v[j]) == sign_rows[i][j] for i in range(height) for j in range(width)):
                 return True
     return False
+
+
+# --- pairwise classification references ----------------------------------
+# The package classifies through row and choice indexes over bitmask grids;
+# these compare every pair of subgames or observations, straight from the
+# definitions.
+
+
+def naive_subgames_cross(first, second) -> bool:
+    rows_f, cols_f = set(first.rows), set(first.cols)
+    rows_s, cols_s = set(second.rows), set(second.cols)
+    if not (rows_f & rows_s) or not (cols_f & cols_s):
+        return False
+    first_inside = rows_f <= rows_s and cols_f <= cols_s
+    second_inside = rows_s <= rows_f and cols_s <= cols_f
+    return not first_inside and not second_inside
+
+
+def naive_crossing_set(dataset: DataSet):
+    subgames = dataset.subgames()
+    return tuple(
+        s for s in subgames if any(naive_subgames_cross(s, t) for t in subgames if t != s)
+    )
+
+
+def naive_satisfies_uniqueness(dataset: DataSet) -> UniquenessCheck:
+    by_subgame = {}
+    for obs in dataset.observations:
+        prior = by_subgame.get(obs.subgame)
+        if prior is not None:
+            return UniquenessCheck(False, (prior, obs))
+        by_subgame[obs.subgame] = obs
+    for outer in dataset.observations:
+        for inner in dataset.observations:
+            if inner.subgame == outer.subgame:
+                continue
+            if not outer.subgame.contains_subgame(inner.subgame):
+                continue
+            if inner.subgame.contains(outer.choice) and inner.choice != outer.choice:
+                return UniquenessCheck(False, (outer, inner))
+    return UniquenessCheck(True, None)
+
+
+def naive_laminar_forest(dataset: DataSet) -> LaminarForest:
+    subgames = dataset.subgames()
+    parent_index = []
+    for s in subgames:
+        containers = [
+            (t.grid_size(), i)
+            for i, t in enumerate(subgames)
+            if t != s and t.contains_subgame(s)
+        ]
+        parent_index.append(min(containers)[1] if containers else None)
+    children = [[] for _ in subgames]
+    roots = []
+    for i, parent in enumerate(parent_index):
+        if parent is None:
+            roots.append(i)
+        else:
+            children[parent].append(i)
+    return LaminarForest(
+        subgames=subgames,
+        parent_index=tuple(parent_index),
+        children_index=tuple(tuple(c) for c in children),
+        roots=tuple(roots),
+    )
+
+
+def naive_dedupe_nested(dataset: DataSet) -> DataSet:
+    kept = []
+    for obs in dataset.observations:
+        subsumed = any(
+            other.choice == obs.choice
+            and other.subgame != obs.subgame
+            and other.subgame.contains_subgame(obs.subgame)
+            for other in dataset.observations
+        )
+        if not subsumed:
+            kept.append(obs)
+    return DataSet(dataset.n, tuple(kept))

@@ -185,11 +185,11 @@ def test_criterion_6_hadamard_rank_two():
 def test_criterion_7_variant_span_scales():
     start = time.perf_counter()
     spans = {}
-    for k in (1, 2, 3):
+    for k in range(1, 7):
         variant = uniqueness_variant(two_regular_dataset(sylvester_hadamard(k)))
         spans[variant.n] = crossing_span(variant)
     elapsed = time.perf_counter() - start
-    ok = spans == {4: 2, 8: 4, 16: 8} and elapsed < HADAMARD_BUDGET
+    ok = spans == {4: 2, 8: 4, 16: 8, 32: 16, 64: 32, 128: 64} and elapsed < HADAMARD_BUDGET
     record(7, ok, f"spans {spans}, {elapsed:.2f}s")
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ranklens import game_to_text
+from ranklens import game_to_text, oracle
 from ranklens.cli import main
 
 DIAG = '{"n":2,"observations":[{"choice":[1,1],"cols":[1,2],"rows":[1,2]},{"choice":[2,2],"cols":[1,2],"rows":[1,2]}]}\n'
@@ -166,8 +166,10 @@ class TestGenerate:
         assert "RANKLENS_SIZE_CAP" in record["message"]
 
     def test_default_cap(self, capsys):
-        assert main(["generate", "hadamard", "--k", "11"]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "SizeLimitExceeded"
+        # The default cap is order 2^7; one doubling past it is refused.
+        for k in ("8", "11"):
+            assert main(["generate", "hadamard", "--k", k]) == 2
+            assert json.loads(capsys.readouterr().err)["error"] == "SizeLimitExceeded"
 
     def test_negative_exponent(self, capsys):
         assert main(["generate", "hadamard", "--k", "-1"]) == 3
@@ -193,6 +195,18 @@ class TestMinrank:
     def test_negative_radius(self, write, capsys):
         path = write("ds.json", DIAG)
         assert main(["minrank", path, "--max-abs", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "BudgetExceeded"
+
+    def test_radius_over_box_budget(self, write, capsys, monkeypatch):
+        def allocate(n, max_abs):
+            raise AssertionError(f"the radius-{max_abs} box was allocated")
+
+        monkeypatch.setattr(oracle, "_enumerate_box", allocate)
+        path = write("ds.json", DIAG)
+        assert main(["minrank", path, "--max-abs", "20"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1

@@ -2,9 +2,11 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
+import numpy as np
 import pytest
 
 from ranklens import (
+    oracle,
     BimatrixGame,
     BudgetExceeded,
     SearchConfig,
@@ -85,6 +87,21 @@ class TestBruteForce:
             brute_force_min_rank(ds, config)
         contradictory = validate_dataset([((1, 1), (1, 2), (1,)), ((2, 1), (1, 2), (1,))], 3)
         assert brute_force_min_rank(contradictory, config) is None
+
+    def test_box_budget_is_checked_before_allocation(self, diag_dataset, monkeypatch):
+        allocated = []
+
+        def allocate(n, max_abs):
+            allocated.append(max_abs)
+            return np.empty((0, n * n), dtype=np.int64)
+
+        monkeypatch.setattr(oracle, "_enumerate_box", allocate)
+        # Radius 6 at n = 2 is 13^4 = 28,561 rows, within BOX_ROW_BUDGET.
+        assert brute_force_min_rank(diag_dataset, SearchConfig(max_abs_payoff=6)) is None
+        for radius in (7, 20):
+            with pytest.raises(BudgetExceeded):
+                brute_force_min_rank(diag_dataset, SearchConfig(max_abs_payoff=radius))
+        assert allocated == [6]
 
     def test_negative_radius_is_refused(self):
         with pytest.raises(BudgetExceeded):

@@ -19,7 +19,16 @@ from ranklens import (
     uniqueness_variant,
     validate_dataset,
 )
-from .generators import random_laminar_unique_dataset, random_uniqueness_dataset
+from .generators import (
+    naive_crossing_set,
+    naive_dedupe_nested,
+    naive_laminar_forest,
+    naive_satisfies_uniqueness,
+    naive_subgames_cross,
+    random_laminar_unique_dataset,
+    random_uniqueness_dataset,
+    two_by_two_sweep,
+)
 
 subgame_strategy = st.builds(
     Subgame,
@@ -43,6 +52,7 @@ class TestCrossing:
     def test_symmetric_and_irreflexive(self, s, t):
         assert subgames_cross(s, t) == subgames_cross(t, s)
         assert not subgames_cross(s, s)
+        assert subgames_cross(s, t) == naive_subgames_cross(s, t)
 
     def test_crossing_set_and_span(self, crossing_strips_dataset):
         crossing = crossing_set(crossing_strips_dataset)
@@ -203,3 +213,48 @@ class TestDedupe:
                         k.choice == obs.choice and k.subgame.contains_subgame(obs.subgame)
                         for k in kept
                     )
+
+
+def _perturbed(rng: Random, n: int):
+    """A laminar uniqueness dataset plus one random observation, which often
+    breaks nested consistency in several places at once."""
+    base = random_laminar_unique_dataset(rng, n)
+    rows = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+    cols = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+    triples = [((o.choice.row, o.choice.col), o.subgame.rows, o.subgame.cols) for o in base.observations]
+    return validate_dataset(triples + [((rng.choice(rows), rng.choice(cols)), rows, cols)], n)
+
+
+def _reference_corpus():
+    yield from two_by_two_sweep()
+    rng = Random(29)
+    for n in range(2, 9):
+        for _ in range(12):
+            yield random_uniqueness_dataset(rng, n)
+            yield random_laminar_unique_dataset(rng, n)
+            yield _perturbed(rng, n)
+    for k in range(1, 5):
+        two_regular = two_regular_dataset(sylvester_hadamard(k))
+        yield two_regular
+        yield uniqueness_variant(two_regular)
+
+
+class TestIndexedMatchesPairwise:
+    def test_classification_equals_pairwise_reference(self):
+        checked = violations = 0
+        for ds in _reference_corpus():
+            assert crossing_set(ds) == naive_crossing_set(ds)
+            check = satisfies_uniqueness(ds)
+            assert check == naive_satisfies_uniqueness(ds)
+            violations += not check.ok
+            forest, reference = laminar_forest(ds), naive_laminar_forest(ds)
+            assert forest.subgames == reference.subgames
+            assert forest.parent_index == reference.parent_index
+            assert forest.children_index == reference.children_index
+            assert forest.roots == reference.roots
+            for subgame in forest.subgames:
+                assert forest.parent_of(subgame) == reference.parent_of(subgame)
+            assert dedupe_nested(ds) == naive_dedupe_nested(ds)
+            checked += 1
+        assert checked == 697 + 7 * 12 * 3 + 8
+        assert violations > 100
