@@ -21,9 +21,12 @@ def canonical_json(document: dict) -> str:
 
 
 def parse_json(text: str) -> Any:
+    """Parse JSON text. Besides syntax errors, an integer literal over the
+    interpreter's digit limit (ValueError) and nesting deeper than the
+    recursion limit (RecursionError) are malformed documents too."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
 
 
@@ -78,24 +81,27 @@ def dataset_from_text(text: str) -> DataSet:
     return dataset_from_document(parse_json(text))
 
 
-def _fraction_to_str(value: Fraction) -> str:
-    return str(value)
-
-
-def _fraction_from_document(value: Any, context: str) -> Fraction:
+def _fraction_from_document(value: Any, memo: dict, name: str, r: int, c: int) -> Fraction:
+    """Parse the entry of matrix name at 0-based (r, c). Valid entries are
+    memoized under (type, value), so that true, 1 and "1" stay apart and
+    each distinct entry of a document is parsed once."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise DocumentError(f"{context} must be an integer or a 'p/q' string")
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"{context} is not a valid rational: {exc}") from None
+        raise DocumentError(f"{name}[{r + 1},{c + 1}] must be an integer or a 'p/q' string")
+    key = (type(value), value)
+    fraction = memo.get(key)
+    if fraction is None:
+        try:
+            fraction = memo[key] = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(f"{name}[{r + 1},{c + 1}] is not a valid rational: {exc}") from None
+    return fraction
 
 
 def game_to_document(game: BimatrixGame) -> dict:
     return {
         "n": game.n,
-        "A": [[_fraction_to_str(x) for x in row] for row in game.a],
-        "B": [[_fraction_to_str(x) for x in row] for row in game.b],
+        "A": [list(map(str, row)) for row in game.a],
+        "B": [list(map(str, row)) for row in game.b],
     }
 
 
@@ -104,6 +110,7 @@ def game_from_document(document: Any) -> BimatrixGame:
     n = document.get("n")
     _expect(isinstance(n, int) and not isinstance(n, bool), "field 'n' must be an integer")
     matrices = {}
+    memo: dict = {}
     for name in ("A", "B"):
         rows = document.get(name)
         _expect(isinstance(rows, list) and len(rows) == n, f"field '{name}' must be a list of {n} rows")
@@ -111,9 +118,7 @@ def game_from_document(document: Any) -> BimatrixGame:
         for r, row in enumerate(rows):
             _expect(isinstance(row, list) and len(row) == n,
                     f"field '{name}' row {r} must be a list of {n} entries")
-            parsed.append(tuple(
-                _fraction_from_document(x, f"{name}[{r + 1},{c + 1}]") for c, x in enumerate(row)
-            ))
+            parsed.append(tuple(_fraction_from_document(x, memo, name, r, c) for c, x in enumerate(row)))
         matrices[name] = tuple(parsed)
     return BimatrixGame(n, matrices["A"], matrices["B"])
 

@@ -191,34 +191,40 @@ class AcyclicityCheck(NamedTuple):
 
 
 def is_acyclic(graph: RPGraph) -> AcyclicityCheck:
-    """Cycle test with a deterministic witness cycle when one exists."""
-    vertices = graph.vertices
-    adjacency: dict[SplitVertex, list] = {v: [] for v in vertices}
+    """Cycle test with a deterministic witness cycle when one exists.
+
+    Depth-first from each vertex in canonical order, successors in
+    canonical order. Only the vertices that edges touch are walked: an
+    untouched vertex is isolated, so skipping it changes neither the
+    answer nor the witness, and the cost follows the edges, not n^2.
+    """
+    adjacency: dict[SplitVertex, list] = {}
     for edge in graph.edges:
-        adjacency[edge.src].append(edge.dst)
+        adjacency.setdefault(edge.src, []).append(edge.dst)
+        adjacency.setdefault(edge.dst, [])
+    order = sorted(adjacency, key=_vertex_key)
+    position = {v: k for k, v in enumerate(order)}
     for neighbors in adjacency.values():
-        neighbors.sort(key=_vertex_key)
+        neighbors.sort(key=position.__getitem__)
 
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in vertices}
-    for start in vertices:
+    color = dict.fromkeys(order, WHITE)
+    for start in order:
         if color[start] != WHITE:
             continue
-        stack: list[tuple[SplitVertex, int]] = [(start, 0)]
+        stack = [(start, iter(adjacency[start]))]
         path = [start]
         color[start] = GRAY
         while stack:
-            vertex, pointer = stack[-1]
-            if pointer < len(adjacency[vertex]):
-                stack[-1] = (vertex, pointer + 1)
-                nxt = adjacency[vertex][pointer]
+            vertex, successors = stack[-1]
+            for nxt in successors:
                 if color[nxt] == GRAY:
-                    cycle_start = path.index(nxt)
-                    return AcyclicityCheck(False, tuple(path[cycle_start:]))
+                    return AcyclicityCheck(False, tuple(path[path.index(nxt):]))
                 if color[nxt] == WHITE:
                     color[nxt] = GRAY
-                    stack.append((nxt, 0))
+                    stack.append((nxt, iter(adjacency[nxt])))
                     path.append(nxt)
+                    break
             else:
                 color[vertex] = BLACK
                 stack.pop()
@@ -226,39 +232,52 @@ def is_acyclic(graph: RPGraph) -> AcyclicityCheck:
     return AcyclicityCheck(True, None)
 
 
-def topological_levels(graph: RPGraph) -> dict[SplitVertex, int]:
-    """Sink-first level sweep.
+def _touched_levels(graph: RPGraph) -> dict[SplitVertex, int]:
+    """Sink-first levels of the vertices that edges touch.
 
-    All current sinks (vertices without outgoing edges, isolated ones
-    included) receive the current level, are removed, and the level
-    increments; so every edge v -> w ends up with level(v) > level(w).
-    A vertex's level is one more than the longest path from it to a sink.
+    Every other vertex is an isolated sink at level 1, so leaving it out
+    changes no level and keeps the sweep proportional to the edges.
     Raises CyclicGraph when the sweep stalls.
     """
-    vertices = graph.vertices
-    out_degree = {v: 0 for v in vertices}
-    predecessors: dict[SplitVertex, list] = {v: [] for v in vertices}
+    out_degree: dict[SplitVertex, int] = {}
+    predecessors: dict[SplitVertex, list] = {}
     for edge in graph.edges:
-        out_degree[edge.src] += 1
-        predecessors[edge.dst].append(edge.src)
+        out_degree[edge.src] = out_degree.get(edge.src, 0) + 1
+        out_degree.setdefault(edge.dst, 0)
+        predecessors.setdefault(edge.dst, []).append(edge.src)
 
     levels: dict[SplitVertex, int] = {}
-    current = [v for v in vertices if out_degree[v] == 0]
+    current = [v for v, degree in out_degree.items() if degree == 0]
     level = 1
     while current:
         next_wave = []
         for vertex in current:
             levels[vertex] = level
-            for pred in predecessors[vertex]:
+            for pred in predecessors.get(vertex, ()):
                 out_degree[pred] -= 1
                 if out_degree[pred] == 0:
                     next_wave.append(pred)
-        current = sorted(next_wave, key=_vertex_key)
+        current = next_wave
         level += 1
-    if len(levels) != len(vertices):
+    if len(levels) != len(out_degree):
         witness = is_acyclic(graph).cycle
         raise CyclicGraph(f"level sweep stalled on cycle {witness}")
     return levels
+
+
+def topological_levels(graph: RPGraph) -> dict[SplitVertex, int]:
+    """Sink-first level sweep over every vertex of the graph.
+
+    All current sinks (vertices without outgoing edges, isolated ones
+    included) receive the current level, are removed, and the level
+    increments; so every edge v -> w ends up with level(v) > level(w).
+    A vertex's level is one more than the longest path from it to a sink.
+    The result lists the vertices level by level, each level in canonical
+    order. Raises CyclicGraph when the sweep stalls.
+    """
+    touched = _touched_levels(graph)
+    levels = [(v, touched.get(v, 1)) for v in graph.vertices]
+    return dict(sorted(levels, key=lambda item: item[1]))
 
 
 def assign_payoffs_split(graph: RPGraph) -> BimatrixGame:
@@ -266,18 +285,25 @@ def assign_payoffs_split(graph: RPGraph) -> BimatrixGame:
 
     Intact vertices price both matrices (A = level, B = -level); an R copy
     prices only A and a C copy only B, so A + B can be nonzero only on
-    split rows and columns, bounding its rank by the graph's span.
+    split rows and columns, bounding its rank by the graph's span. A vertex
+    no edge touches sits at level 1, so every cell starts at A = 1,
+    B = -1 and only the touched vertices are priced; each level becomes
+    one Fraction, shared by its cells.
     """
-    levels = topological_levels(graph)
-    a = [[Fraction(0)] * graph.n for _ in range(graph.n)]
-    b = [[Fraction(0)] * graph.n for _ in range(graph.n)]
-    for vertex, level in levels.items():
+    n = graph.n
+    prices = {1: (Fraction(1), Fraction(-1))}
+    a = [[prices[1][0]] * n for _ in range(n)]
+    b = [[prices[1][1]] * n for _ in range(n)]
+    for vertex, level in _touched_levels(graph).items():
+        price = prices.get(level)
+        if price is None:
+            price = prices[level] = (Fraction(level), Fraction(-level))
         r, c = vertex.row - 1, vertex.col - 1
         if vertex.tag != "C":
-            a[r][c] = Fraction(level)
+            a[r][c] = price[0]
         if vertex.tag != "R":
-            b[r][c] = Fraction(-level)
-    return BimatrixGame(graph.n, tuple(map(tuple, a)), tuple(map(tuple, b)))
+            b[r][c] = price[1]
+    return BimatrixGame(n, tuple(map(tuple, a)), tuple(map(tuple, b)))
 
 
 def assign_payoffs_topological(graph: RPGraph) -> BimatrixGame:

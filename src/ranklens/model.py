@@ -26,6 +26,8 @@ RationalLike = Union[int, str, Fraction]
 
 
 def _to_fraction(value: RationalLike) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floating-point payoffs are not supported; use Fraction, int, or 'p/q' strings")
     return Fraction(value)
@@ -82,6 +84,12 @@ class Subgame:
         return fmt(self.rows) + "x" + fmt(self.cols)
 
 
+def _subgame_key(subgame: Subgame) -> tuple:
+    """The dataclass order of subgames as a plain tuple, which sorted()
+    compares without calling the generated __lt__."""
+    return (subgame.rows, subgame.cols)
+
+
 def full_subgame(n: int) -> Subgame:
     return Subgame(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
 
@@ -103,6 +111,11 @@ class Observation:
         return f"({self.choice},{self.subgame})"
 
 
+def _observation_key(obs: Observation) -> tuple:
+    """The dataclass order of observations as a plain tuple."""
+    return (obs.choice, obs.subgame.rows, obs.subgame.cols)
+
+
 @dataclass(frozen=True)
 class DataSet:
     """A set of observations over an n x n strategy space.
@@ -117,7 +130,7 @@ class DataSet:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidSize(f"game size must be at least 1, got {self.n}")
-        observations = tuple(sorted(set(self.observations)))
+        observations = tuple(sorted(set(self.observations), key=_observation_key))
         for obs in observations:
             for index in (*obs.subgame.rows, *obs.subgame.cols):
                 if not 1 <= index <= self.n:
@@ -126,7 +139,7 @@ class DataSet:
 
     def subgames(self) -> tuple[Subgame, ...]:
         """Distinct subgames, in canonical order."""
-        return tuple(sorted({obs.subgame for obs in self.observations}))
+        return tuple(sorted({obs.subgame for obs in self.observations}, key=_subgame_key))
 
     def observations_for(self, subgame: Subgame) -> tuple[Observation, ...]:
         return tuple(obs for obs in self.observations if obs.subgame == subgame)
@@ -300,6 +313,12 @@ def rational_matrix_rank(rows: Sequence[Sequence[RationalLike]]) -> int:
     for row in matrix:
         scale = math.lcm(*(x.denominator for x in row))
         m.append([int(x * scale) for x in row])
+    return _bareiss_rank(m)
+
+
+def _bareiss_rank(m: list[list[int]]) -> int:
+    """Rank of an integer matrix by Bareiss elimination, in place."""
+    width = len(m[0]) if m else 0
     n_rows = len(m)
     rank = 0
     prev_pivot = 1
@@ -327,5 +346,17 @@ def rational_matrix_rank(rows: Sequence[Sequence[RationalLike]]) -> int:
 
 
 def game_rank(game: BimatrixGame) -> int:
-    """Rank of A + B over the rationals; zero iff the game is zero-sum."""
-    return rational_matrix_rank(game.total())
+    """Rank of A + B over the rationals; zero iff the game is zero-sum.
+
+    Each row of A + B is scaled to integers straight from the entries'
+    numerators and denominators (by the lcm of the row's denominators in
+    A and B), so no Fraction is built; integer games scale by 1.
+    """
+    rows = []
+    for row_a, row_b in zip(game.a, game.b):
+        scale = math.lcm(*(x.denominator for x in row_a), *(y.denominator for y in row_b))
+        rows.append([
+            x.numerator * (scale // x.denominator) + y.numerator * (scale // y.denominator)
+            for x, y in zip(row_a, row_b)
+        ])
+    return _bareiss_rank(rows)

@@ -4,19 +4,22 @@ The key reduction: (A, B) rationalizes a dataset iff A alone satisfies
 every row-player inequality and B alone every column-player inequality,
 so the two sides factor. The search enumerates the integer box once,
 filters each side, and combines; integer numpy arithmetic keeps it exact
-(entries are tiny) and deterministic.
+(entries are tiny) and deterministic. numpy is imported by the
+functions that use it, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, SizeMismatch
 from .graphs import build_split_graph, is_acyclic
 from .model import BimatrixGame, DataSet, StrategyProfile, Subgame, strict_equilibria
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest box the search enumerates: (2M+1)^(n^2) matrices per side. It
 # admits radius 6 at n = 2 (28,561 rows) and radius 1 at n = 3 (19,683).
@@ -72,11 +75,15 @@ def all_subgame_equilibria(game: BimatrixGame, dataset: DataSet) -> dict[Subgame
 def _enumerate_box(n: int, max_abs: int) -> np.ndarray:
     """All integer n x n matrices with entries in [-max_abs, max_abs],
     flattened row-major, in lexicographic order. Shape (count, n*n)."""
+    import numpy as np
+
     values = range(-max_abs, max_abs + 1)
     return np.array(list(product(values, repeat=n * n)), dtype=np.int64)
 
 
 def _feasible_sides(dataset: DataSet, box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     n = dataset.n
 
     def cell(i: int, j: int) -> int:
@@ -131,6 +138,8 @@ def brute_force_min_rank(dataset: DataSet, config: SearchConfig = SearchConfig()
         raise BudgetExceeded(f"n={n}: the exact search finds a positive minimum rank for n <= 2 only")
 
     # n == 2: scan A + B determinants in chunks to bound memory.
+    import numpy as np
+
     a0, a1, a2, a3 = (side_a[:, k] for k in range(4))
     b0, b1, b2, b3 = (side_b[:, k] for k in range(4))
     chunk = min(512, ELEMENT_BUDGET // len(side_b))

@@ -12,11 +12,16 @@ from itertools import combinations, product
 from random import Random
 
 from ranklens import (
+    AcyclicityCheck,
+    CyclicGraph,
     DataSet,
     LaminarForest,
     RanklensError,
     UniquenessCheck,
     satisfies_uniqueness,
+    sylvester_hadamard,
+    two_regular_dataset,
+    uniqueness_variant,
     validate_dataset,
 )
 
@@ -123,6 +128,33 @@ def random_uniqueness_dataset(rng: Random, n: int, attempts: int = 6) -> DataSet
         if satisfies_uniqueness(candidate).ok:
             triples = trial
     return validate_dataset(triples, n)
+
+
+def perturbed_laminar_dataset(rng: Random, n: int) -> DataSet:
+    """A laminar uniqueness dataset plus one random observation, which often
+    breaks nested consistency in several places at once."""
+    base = random_laminar_unique_dataset(rng, n)
+    rows = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+    cols = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
+    triples = [((o.choice.row, o.choice.col), o.subgame.rows, o.subgame.cols) for o in base.observations]
+    return validate_dataset(triples + [((rng.choice(rows), rng.choice(cols)), rows, cols)], n)
+
+
+def reference_corpus():
+    """The seeded corpus the index-based code is checked on: the 697-dataset
+    sweep, 12 each of random uniqueness, laminar and perturbed laminar
+    datasets at n = 2..8, and Hadamard k = 1..4 in both variants (957 in all)."""
+    yield from two_by_two_sweep()
+    rng = Random(29)
+    for n in range(2, 9):
+        for _ in range(12):
+            yield random_uniqueness_dataset(rng, n)
+            yield random_laminar_unique_dataset(rng, n)
+            yield perturbed_laminar_dataset(rng, n)
+    for k in range(1, 5):
+        two_regular = two_regular_dataset(sylvester_hadamard(k))
+        yield two_regular
+        yield uniqueness_variant(two_regular)
 
 
 def random_fraction_matrix(rng: Random, size: int, max_abs: int = 9, max_den: int = 12):
@@ -303,3 +335,77 @@ def naive_dedupe_nested(dataset: DataSet) -> DataSet:
         if not subsumed:
             kept.append(obs)
     return DataSet(dataset.n, tuple(kept))
+
+
+# --- dense graph sweep references ------------------------------------------
+# The package walks only the vertices that edges touch; these walk all of
+# graph.vertices, isolated ones included, straight from the definitions.
+
+_TAG_ORDER = {"": 0, "R": 1, "C": 2}
+
+
+def _canonical(vertex):
+    return (vertex.row, vertex.col, _TAG_ORDER[vertex.tag])
+
+
+def naive_is_acyclic(graph) -> AcyclicityCheck:
+    """Depth-first cycle search from every vertex in canonical order."""
+    vertices = graph.vertices
+    adjacency = {v: [] for v in vertices}
+    for edge in graph.edges:
+        adjacency[edge.src].append(edge.dst)
+    for neighbors in adjacency.values():
+        neighbors.sort(key=_canonical)
+
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {v: WHITE for v in vertices}
+    for start in vertices:
+        if color[start] != WHITE:
+            continue
+        stack = [(start, 0)]
+        path = [start]
+        color[start] = GRAY
+        while stack:
+            vertex, pointer = stack[-1]
+            if pointer < len(adjacency[vertex]):
+                stack[-1] = (vertex, pointer + 1)
+                nxt = adjacency[vertex][pointer]
+                if color[nxt] == GRAY:
+                    return AcyclicityCheck(False, tuple(path[path.index(nxt):]))
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    stack.append((nxt, 0))
+                    path.append(nxt)
+            else:
+                color[vertex] = BLACK
+                stack.pop()
+                path.pop()
+    return AcyclicityCheck(True, None)
+
+
+def naive_topological_levels(graph) -> dict:
+    """Sink-first sweep over every vertex; each wave in canonical order.
+    Raises CyclicGraph when the sweep stalls."""
+    vertices = graph.vertices
+    out_degree = {v: 0 for v in vertices}
+    predecessors = {v: [] for v in vertices}
+    for edge in graph.edges:
+        out_degree[edge.src] += 1
+        predecessors[edge.dst].append(edge.src)
+
+    levels = {}
+    current = [v for v in vertices if out_degree[v] == 0]
+    level = 1
+    while current:
+        next_wave = []
+        for vertex in current:
+            levels[vertex] = level
+            for pred in predecessors[vertex]:
+                out_degree[pred] -= 1
+                if out_degree[pred] == 0:
+                    next_wave.append(pred)
+        current = sorted(next_wave, key=_canonical)
+        level += 1
+    if len(levels) != len(vertices):
+        raise CyclicGraph(f"level sweep stalled on cycle {naive_is_acyclic(graph).cycle}")
+    return levels

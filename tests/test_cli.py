@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,45 @@ class TestValidate:
         assert main(["validate", path]) == 3
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ChoiceOutsideSubgame"
+
+
+def _over_digit_limit(document: str) -> str:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no integer digit limit")
+    return document.replace("HUGE", "7" * (limit + 1))
+
+
+class TestParseErrors:
+    """Input json.loads rejects with ValueError or RecursionError, not
+    JSONDecodeError, still exits 3 with one JSON line and no traceback."""
+
+    DATASET = '{"n":HUGE,"observations":[]}'
+    GAME = '{"A":[[HUGE]],"B":[[0]],"n":1}'
+    DEEP = "[" * 100_000
+
+    def _assert_malformed(self, capsys, argv):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "DocumentError"
+        assert record["message"].startswith("invalid JSON: ")
+
+    def test_dataset_integer_over_digit_limit(self, write, capsys):
+        self._assert_malformed(capsys, ["validate", write("ds.json", _over_digit_limit(self.DATASET))])
+
+    def test_dataset_nested_too_deep(self, write, capsys):
+        self._assert_malformed(capsys, ["analyze", write("ds.json", self.DEEP)])
+
+    def test_game_integer_over_digit_limit(self, write, capsys):
+        game = write("game.json", _over_digit_limit(self.GAME))
+        self._assert_malformed(capsys, ["verify", game, write("ds.json", DIAG)])
+
+    def test_game_nested_too_deep(self, write, capsys):
+        game = write("game.json", self.DEEP)
+        self._assert_malformed(capsys, ["verify", game, write("ds.json", DIAG)])
 
 
 class TestAnalyze:
@@ -239,3 +282,36 @@ class TestHarness:
         assert main(["verify", game_path, data]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["rationalizes"] is True
+
+
+STARTUP_PROBE = """
+import sys
+from ranklens.cli import main
+
+dataset, game = sys.argv[1], sys.argv[2]
+codes = [
+    main(["generate", "hadamard", "--k", "1", "--variant", "unique", "--output", dataset]),
+    main(["validate", dataset, "--output", dataset]),
+    main(["analyze", dataset]),
+    main(["rationalize", dataset, "--output", game]),
+    main(["verify", game, dataset]),
+]
+assert codes == [0, 0, 0, 0, 0], codes
+assert "numpy" not in sys.modules, "numpy was loaded"
+sys.stdout.flush()
+main(["minrank", sys.argv[3]])
+assert "numpy" in sys.modules, "minrank did not load numpy"
+"""
+
+
+class TestStartup:
+    def test_only_minrank_loads_numpy(self, write, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = [str(tmp_path / "variant.json"), str(tmp_path / "game.json"), write("diag.json", DIAG)]
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.endswith('{"failures":[],"rank":2,"rationalizes":true}\n1\n')

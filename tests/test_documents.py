@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -135,3 +136,41 @@ class TestGameDocuments:
     def test_malformed_documents(self, text):
         with pytest.raises(DocumentError):
             game_from_text(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"A":[[1,"1"],[true,1]],"B":[[0,0],[0,0]],"n":2}',
+             "A[2,1] must be an integer or a 'p/q' string"),
+            ('{"A":[[1,"1"],["1",1]],"B":[["1",1],[0,true]],"n":2}',
+             "B[2,2] must be an integer or a 'p/q' string"),
+            ('{"A":[["2","1/0"],["1/0","x"]],"B":[[0,0],[0,0]],"n":2}',
+             "A[1,2] is not a valid rational: Fraction(1, 0)"),
+            ('{"A":[["2","x"],["1/0","x"]],"B":[[0,0],[0,0]],"n":2}',
+             "A[1,2] is not a valid rational: Invalid literal for Fraction: 'x'"),
+        ],
+    )
+    def test_first_bad_cell_is_reported(self, text, message):
+        # Entries are parsed once per distinct (type, value): true, 1 and "1"
+        # stay apart, and a repeated bad entry fails at its first cell.
+        with pytest.raises(DocumentError) as raised:
+            game_from_text(text)
+        assert str(raised.value) == message
+
+    def test_equal_entries_of_different_types(self):
+        game = game_from_text('{"A":[[1,"1"],["1/1",1]],"B":[["-1",-1],[-1,"-2/2"]],"n":2}')
+        assert game.a == ((Fraction(1),) * 2,) * 2
+        assert game.b == ((Fraction(-1),) * 2,) * 2
+
+
+class TestParseJson:
+    def test_integer_over_the_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no integer digit limit")
+        with pytest.raises(DocumentError, match="invalid JSON"):
+            parse_json("1" * (limit + 1))
+
+    def test_nesting_over_the_recursion_limit(self):
+        with pytest.raises(DocumentError, match="invalid JSON"):
+            parse_json("[" * 100_000)

@@ -20,15 +20,28 @@ from ranklens import (
     build_strong_laminar_graph,
     crossing_span,
     dedupe_nested,
+    full_subgame,
     game_rank,
     is_acyclic,
     is_rationalizable,
+    rationalize_auto,
+    rationalize_bounded_rank,
+    rationalize_general,
+    rationalize_rank_one,
+    rationalize_zero_sum,
     rationalizes,
     strict_equilibria,
     topological_levels,
     validate_dataset,
+    zero_sum_feasible,
 )
-from .generators import random_laminar_unique_dataset, random_uniqueness_dataset
+from .generators import (
+    naive_is_acyclic,
+    naive_topological_levels,
+    random_laminar_unique_dataset,
+    random_uniqueness_dataset,
+    reference_corpus,
+)
 
 
 def P(r, c):
@@ -244,3 +257,77 @@ class TestDot:
         assert dot.startswith("digraph split_revealed_preference {")
         assert '"2,2,R" -> "1,2" [kind=row];' in dot
         assert '"2,1" -> "2,2,C" [kind=col];' in dot
+
+
+def _sweep_graphs():
+    """Plain, crossing-split, all-split and strong laminar graphs of the
+    reference corpus, each graph's row-edge and column-edge parts, and
+    seeded random graphs, most of them cyclic."""
+    for ds in reference_corpus():
+        report = analyze(ds)
+        graphs = [
+            build_split_graph(ds),
+            build_split_graph(ds, report.crossing_choices),
+            build_split_graph(ds, full_subgame(ds.n).grid()),
+        ]
+        if report.laminar and report.uniqueness:
+            graphs.append(build_strong_laminar_graph(dedupe_nested(ds)))
+        for graph in graphs:
+            yield graph
+            for kind in (ROW, COL):
+                yield RPGraph(graph.n, frozenset(e for e in graph.edges if e.kind == kind), graph.split)
+    rng = Random(43)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        edges = set()
+        for _ in range(rng.randint(0, 2 * n * n)):
+            r, c = rng.randint(1, n), rng.randint(1, n)
+            if rng.random() < 0.5:
+                r2 = rng.randint(1, n)
+                if r2 != r:
+                    edges.add(Edge(V(r, c), V(r2, c), ROW))
+            else:
+                c2 = rng.randint(1, n)
+                if c2 != c:
+                    edges.add(Edge(V(r, c), V(r, c2), COL))
+        yield RPGraph(n, frozenset(edges))
+
+
+class TestSparseSweepsMatchDense:
+    def test_acyclicity_and_levels_equal_dense_reference(self):
+        graphs = cyclic = 0
+        for graph in _sweep_graphs():
+            check = is_acyclic(graph)
+            assert check == naive_is_acyclic(graph)
+            if check.acyclic:
+                levels = topological_levels(graph)
+                reference = naive_topological_levels(graph)
+                assert levels == reference
+                assert list(levels) == list(reference)
+            else:
+                cyclic += 1
+                with pytest.raises(CyclicGraph) as raised:
+                    topological_levels(graph)
+                with pytest.raises(CyclicGraph) as expected:
+                    naive_topological_levels(graph)
+                assert str(raised.value) == str(expected.value)
+            graphs += 1
+        assert graphs > 10_000
+        assert cyclic > 1_000
+
+    def test_routes_never_list_the_vertices(self, monkeypatch, diag_dataset, nested_dataset,
+                                            crossing_strips_dataset, contradictory_dataset):
+        def refuse(graph):
+            raise AssertionError(f"all {graph.n * graph.n} profiles were listed")
+
+        monkeypatch.setattr(RPGraph, "vertices", property(refuse))
+        assert is_rationalizable(diag_dataset)
+        assert not is_rationalizable(contradictory_dataset)
+        assert zero_sum_feasible(nested_dataset)
+        assert not zero_sum_feasible(diag_dataset)
+        assert rationalize_rank_one(diag_dataset).rank == 1
+        assert rationalize_zero_sum(nested_dataset).rank == 0
+        assert rationalize_bounded_rank(crossing_strips_dataset).rank == 1
+        assert rationalize_general(diag_dataset).method == "general"
+        for ds in (diag_dataset, nested_dataset, crossing_strips_dataset):
+            assert rationalizes(rationalize_auto(ds).game, ds).ok

@@ -26,7 +26,7 @@ from ranklens import (
     strict_equilibria,
     validate_dataset,
 )
-from .generators import minor_rank, random_fraction_matrix
+from .generators import minor_rank, random_fraction_matrix, reference_corpus
 
 
 class TestValidation:
@@ -66,6 +66,21 @@ class TestValidation:
         second = validate_dataset([((1, 1), (1, 2), (1, 2)), ((2, 2), (1, 2), (1, 2))], 2)
         assert first == second
         assert first.observations == second.observations
+
+    def test_canonical_order_is_the_dataclass_order(self):
+        # DataSet sorts with key tuples; the generated __lt__ of Observation
+        # and Subgame must give the same order, from any input order.
+        rng = Random(47)
+        checked = 0
+        for ds in reference_corpus():
+            shuffled = list(ds.observations)
+            rng.shuffle(shuffled)
+            rebuilt = DataSet(ds.n, tuple(shuffled))
+            assert rebuilt.observations == tuple(sorted(shuffled)) == ds.observations
+            assert rebuilt.subgames() == tuple(sorted({o.subgame for o in shuffled}))
+            assert rebuilt.choices() == tuple(sorted({o.choice for o in shuffled}))
+            checked += 1
+        assert checked == 957
 
 
 class TestEquilibria:
@@ -173,6 +188,25 @@ class TestRank:
             size = rng.randint(1, 4)
             rows = random_fraction_matrix(rng, size)
             assert rational_matrix_rank(rows) == minor_rank(rows)
+
+    def test_game_rank_of_rational_games(self):
+        # A + B = C of known low rank, with A's and B's denominators unlike C's.
+        rng = Random(11)
+        for _ in range(40):
+            size = rng.randint(1, 4)
+            def vector():
+                return [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(size)]
+
+            terms = [(vector(), vector()) for _ in range(rng.randint(0, size))]
+            total = [
+                [sum((u[i] * v[j] for u, v in terms), Fraction(0)) for j in range(size)]
+                for i in range(size)
+            ]
+            a = random_fraction_matrix(rng, size)
+            b = [[total[i][j] - a[i][j] for j in range(size)] for i in range(size)]
+            game = BimatrixGame.from_rows(a, b)
+            assert game.total() == tuple(map(tuple, total))
+            assert game_rank(game) == minor_rank(total) == rational_matrix_rank(total)
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):

@@ -27,6 +27,7 @@ from .generators import (
     naive_subgames_cross,
     random_laminar_unique_dataset,
     random_uniqueness_dataset,
+    reference_corpus,
     two_by_two_sweep,
 )
 
@@ -215,34 +216,10 @@ class TestDedupe:
                     )
 
 
-def _perturbed(rng: Random, n: int):
-    """A laminar uniqueness dataset plus one random observation, which often
-    breaks nested consistency in several places at once."""
-    base = random_laminar_unique_dataset(rng, n)
-    rows = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
-    cols = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, n))))
-    triples = [((o.choice.row, o.choice.col), o.subgame.rows, o.subgame.cols) for o in base.observations]
-    return validate_dataset(triples + [((rng.choice(rows), rng.choice(cols)), rows, cols)], n)
-
-
-def _reference_corpus():
-    yield from two_by_two_sweep()
-    rng = Random(29)
-    for n in range(2, 9):
-        for _ in range(12):
-            yield random_uniqueness_dataset(rng, n)
-            yield random_laminar_unique_dataset(rng, n)
-            yield _perturbed(rng, n)
-    for k in range(1, 5):
-        two_regular = two_regular_dataset(sylvester_hadamard(k))
-        yield two_regular
-        yield uniqueness_variant(two_regular)
-
-
 class TestIndexedMatchesPairwise:
     def test_classification_equals_pairwise_reference(self):
         checked = violations = 0
-        for ds in _reference_corpus():
+        for ds in reference_corpus():
             assert crossing_set(ds) == naive_crossing_set(ds)
             check = satisfies_uniqueness(ds)
             assert check == naive_satisfies_uniqueness(ds)
