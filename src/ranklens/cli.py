@@ -22,6 +22,7 @@ from .documents import (
 )
 from .errors import (
     DataError,
+    DocumentError,
     NotRationalizable,
     PreconditionError,
     SizeLimitExceeded,
@@ -57,7 +58,10 @@ _METHODS = {
 
 def _read_file(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise DocumentError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:

@@ -52,9 +52,10 @@ def sylvester_hadamard(k: int, size_cap: int = DEFAULT_ORDER_CAP) -> SignMatrix:
     """
     if k < 0:
         raise InvalidSize(f"exponent must be nonnegative, got {k}")
-    order = 1 << k
-    if order > size_cap:
-        raise SizeLimitExceeded(f"order {order} exceeds the size cap {size_cap}")
+    # 2^k > size_cap iff k reaches the cap's bit length (every k for a cap
+    # below 1); comparing exponents never builds a huge order.
+    if size_cap < 1 or k >= size_cap.bit_length():
+        raise SizeLimitExceeded(f"order 2^{k} exceeds the size cap {size_cap}")
     rows: list[list[int]] = [[1]]
     for _ in range(k):
         rows = [row + row for row in rows] + [row + [-x for x in row] for row in rows]

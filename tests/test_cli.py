@@ -87,6 +87,29 @@ class TestParseErrors:
         self._assert_malformed(capsys, ["verify", game, write("ds.json", DIAG)])
 
 
+class TestEncodingErrors:
+    """A byte that is not UTF-8 is a malformed document: exit 3, one JSON line."""
+
+    def _assert_not_utf8(self, capsys, argv, path):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "DocumentError"
+        assert record["message"].startswith(f"{path} is not UTF-8 text: ")
+
+    def test_dataset(self, tmp_path, capsys):
+        path = tmp_path / "ds.json"
+        path.write_bytes(DIAG.encode() + b"\xff")
+        self._assert_not_utf8(capsys, ["validate", str(path)], path)
+
+    def test_game(self, tmp_path, write, capsys, known_rank_one_game):
+        path = tmp_path / "game.json"
+        path.write_bytes(b"\xfe" + game_to_text(known_rank_one_game).encode())
+        self._assert_not_utf8(capsys, ["verify", str(path), write("ds.json", DIAG)], path)
+
+
 class TestAnalyze:
     def test_crossing_strips(self, write, capsys):
         path = write("ds.json", STRIPS)
@@ -214,6 +237,13 @@ class TestGenerate:
             assert main(["generate", "hadamard", "--k", k]) == 2
             assert json.loads(capsys.readouterr().err)["error"] == "SizeLimitExceeded"
 
+    def test_exponent_beyond_order_digits(self, capsys):
+        # 2^20000 has 6,021 digits, more than str() prints by default.
+        assert main(["generate", "hadamard", "--k", "20000"]) == 2
+        assert capsys.readouterr().err == (
+            '{"error": "SizeLimitExceeded", "message": "order 2^20000 exceeds the size cap 128"}\n'
+        )
+
     def test_negative_exponent(self, capsys):
         assert main(["generate", "hadamard", "--k", "-1"]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidSize"
@@ -244,16 +274,24 @@ class TestMinrank:
         assert json.loads(err)["error"] == "BudgetExceeded"
 
     def test_radius_over_box_budget(self, write, capsys, monkeypatch):
-        def allocate(n, max_abs):
-            raise AssertionError(f"the radius-{max_abs} box was allocated")
+        def enumerate_lines(n, max_abs, orders):
+            raise AssertionError(f"the radius-{max_abs} lines were enumerated")
 
-        monkeypatch.setattr(oracle, "_enumerate_box", allocate)
+        monkeypatch.setattr(oracle, "_feasible_lines", enumerate_lines)
         path = write("ds.json", DIAG)
-        assert main(["minrank", path, "--max-abs", "20"]) == 2
+        for radius in ("7", "20", str(10**1100)):
+            assert main(["minrank", path, "--max-abs", radius]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.count("\n") == 1
+            assert json.loads(err)["error"] == "BudgetExceeded"
+
+    def test_order_beyond_search_space_digits(self, write, capsys):
+        path = write("ds.json", '{"n":64,"observations":[]}')
+        assert main(["minrank", path]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.count("\n") == 1
-        assert json.loads(err)["error"] == "BudgetExceeded"
+        assert err == '{"error": "BudgetExceeded", "message": "n=64 exceeds max_n=2 (search space 7^8192)"}\n'
 
     def test_budget(self, write, capsys):
         path = write("ds.json", '{"n":3,"observations":[{"choice":[1,1],"cols":[1,2,3],"rows":[1,2,3]}]}')
@@ -288,24 +326,22 @@ STARTUP_PROBE = """
 import sys
 from ranklens.cli import main
 
-dataset, game = sys.argv[1], sys.argv[2]
+dataset, game, diag = sys.argv[1], sys.argv[2], sys.argv[3]
 codes = [
     main(["generate", "hadamard", "--k", "1", "--variant", "unique", "--output", dataset]),
     main(["validate", dataset, "--output", dataset]),
     main(["analyze", dataset]),
     main(["rationalize", dataset, "--output", game]),
     main(["verify", game, dataset]),
+    main(["minrank", diag]),
 ]
-assert codes == [0, 0, 0, 0, 0], codes
+assert codes == [0, 0, 0, 0, 0, 0], codes
 assert "numpy" not in sys.modules, "numpy was loaded"
-sys.stdout.flush()
-main(["minrank", sys.argv[3]])
-assert "numpy" in sys.modules, "minrank did not load numpy"
 """
 
 
 class TestStartup:
-    def test_only_minrank_loads_numpy(self, write, tmp_path):
+    def test_no_command_loads_numpy(self, write, tmp_path):
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         argv = [str(tmp_path / "variant.json"), str(tmp_path / "game.json"), write("diag.json", DIAG)]
