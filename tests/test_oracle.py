@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -111,10 +112,16 @@ class TestBruteForce:
             brute_force_min_rank(validate_dataset([], 64))
 
     def test_unprintable_box_is_refused_with_a_bound(self, diag_dataset):
-        radius = 10**1100
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no integer digit limit")
+        radius = 10 ** (limit // 4 + 1)  # printable, but (2 * radius + 1)^4 is not
+        bound = ((2 * radius + 1) ** 4).bit_length() - 1
         with pytest.raises(BudgetExceeded) as refused:
             brute_force_min_rank(diag_dataset, SearchConfig(max_abs_payoff=radius))
-        assert str(refused.value).startswith(f"max_abs_payoff={radius} at n=2 needs ")
+        assert str(refused.value) == (
+            f"max_abs_payoff={radius} at n=2 needs at least 2^{bound} box rows, over the budget 32768"
+        )
 
     def test_box_budget_is_checked_before_allocation(self, diag_dataset, monkeypatch):
         enumerated = []
