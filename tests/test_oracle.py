@@ -153,6 +153,7 @@ class TestBruteForce:
             ({(0, 0)}, {(0, 0)}, 2),  # A + B = I
             ({(0, 0), (-1, 0)}, {(0, 0)}, 1),  # a zero first row
             ({(1, 1)}, {(-2, -2)}, 1),  # rows (2, 1) and (-2, -1)
+            ({(1, 1)}, {(4, 1)}, 1),  # rows (2, 1) and (4, 2)
             ({(1, 1)}, {(-2, -1)}, 2),  # rows (2, 1) and (-2, 0)
         ]:
             set_lines(g1, g2)
