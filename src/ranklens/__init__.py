@@ -18,7 +18,6 @@ from .errors import (
     NotRationalizable,
     NotTwoRegular,
     PreconditionError,
-    ProfileOutsideSubgame,
     RanklensError,
     SizeLimitExceeded,
     SizeMismatch,
@@ -46,7 +45,6 @@ from .graphs import (
     RPGraph,
     SplitVertex,
     assign_payoffs_split,
-    assign_payoffs_topological,
     build_split_graph,
     build_strong_laminar_graph,
     is_acyclic,
@@ -70,14 +68,13 @@ from .model import (
     VerificationReport,
     full_subgame,
     game_rank,
-    is_strict_equilibrium,
     rational_matrix_rank,
     rationalizes,
     sign_pattern,
     strict_equilibria,
     validate_dataset,
 )
-from .oracle import SearchConfig, all_subgame_equilibria, brute_force_min_rank, zero_sum_feasible
+from .oracle import SearchConfig, brute_force_min_rank, zero_sum_feasible
 from .rationalize import (
     CycleWitness,
     RationalizabilityResult,

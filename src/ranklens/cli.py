@@ -114,6 +114,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_rationalize(args: argparse.Namespace) -> int:
     dataset = dataset_from_text(_read_file(args.dataset))
+    # A route builds an n x n game; the largest generated dataset has n = 2 * cap.
+    cap = _size_cap()
+    if dataset.n > 2 * cap:
+        raise SizeLimitExceeded(f"order n={dataset.n} exceeds twice the size cap {cap}")
     method = _METHODS[args.method]
     try:
         certificate = method(dataset)
@@ -189,8 +193,16 @@ def cmd_minrank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become one JSON error record (exit 2), not usage text.
+    Subparsers inherit this class."""
+
+    def error(self, message: str):
+        raise PreconditionError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ranklens",
         description="Rationalizability and minimum-rank analysis of observed play in two-player games.",
     )
@@ -238,14 +250,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_PRECONDITION
-        return code
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code
     except DataError as exc:
         _error_record(exc)
         return EXIT_MALFORMED

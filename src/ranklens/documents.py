@@ -3,17 +3,22 @@
 Canonical form is a single line: sorted keys, no insignificant
 whitespace, trailing newline. Parsing accepts any JSON layout;
 canonicalization is byte-idempotent. Rationals render as decimal integer
-strings or 'p/q' strings in lowest terms.
+strings or 'p/q' strings in lowest terms; a string entry must have the
+form [+-]?[0-9]+(/[0-9]+)?, so no decimal point, exponent, space or
+underscore reaches Fraction.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
 from .errors import DocumentError
 from .model import BimatrixGame, DataSet, validate_dataset
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def canonical_json(document: dict) -> str:
@@ -91,6 +96,8 @@ def _fraction_from_document(value: Any, memo: dict, name: str, r: int, c: int) -
     fraction = memo.get(key)
     if fraction is None:
         try:
+            if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+                raise ValueError(f"Invalid literal for Fraction: {value!r}")
             fraction = memo[key] = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{name}[{r + 1},{c + 1}] is not a valid rational: {exc}") from None

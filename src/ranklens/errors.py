@@ -44,10 +44,6 @@ class PreconditionError(RanklensError):
     """A well-formed input handed to an operation whose contract excludes it."""
 
 
-class ProfileOutsideSubgame(PreconditionError):
-    pass
-
-
 class NotLaminar(PreconditionError):
     pass
 
@@ -61,7 +57,11 @@ class NotDeduped(PreconditionError):
 
 
 class CyclicGraph(PreconditionError):
-    pass
+    """A graph the level sweep cannot order; carries its witness cycle."""
+
+    def __init__(self, message: str, cycle=None):
+        super().__init__(message)
+        self.cycle = cycle
 
 
 class SubgameNotFull(PreconditionError):

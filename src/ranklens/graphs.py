@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import CyclicGraph, NotDeduped
 from .model import BimatrixGame, DataSet, Observation, StrategyProfile
@@ -190,58 +190,26 @@ class AcyclicityCheck(NamedTuple):
     cycle: tuple | None
 
 
-def is_acyclic(graph: RPGraph) -> AcyclicityCheck:
-    """Cycle test with a deterministic witness cycle when one exists.
-
-    Depth-first from each vertex in canonical order, successors in
-    canonical order. Only the vertices that edges touch are walked: an
-    untouched vertex is isolated, so skipping it changes neither the
-    answer nor the witness, and the cost follows the edges, not n^2.
-    """
-    adjacency: dict[SplitVertex, list] = {}
-    for edge in graph.edges:
-        adjacency.setdefault(edge.src, []).append(edge.dst)
-        adjacency.setdefault(edge.dst, [])
-    order = sorted(adjacency, key=_vertex_key)
-    position = {v: k for k, v in enumerate(order)}
-    for neighbors in adjacency.values():
-        neighbors.sort(key=position.__getitem__)
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(order, WHITE)
-    for start in order:
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(adjacency[start]))]
-        path = [start]
-        color[start] = GRAY
-        while stack:
-            vertex, successors = stack[-1]
-            for nxt in successors:
-                if color[nxt] == GRAY:
-                    return AcyclicityCheck(False, tuple(path[path.index(nxt):]))
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    path.append(nxt)
-                    break
-            else:
-                color[vertex] = BLACK
-                stack.pop()
-                path.pop()
-    return AcyclicityCheck(True, None)
-
-
-def _touched_levels(graph: RPGraph) -> dict[SplitVertex, int]:
-    """Sink-first levels of the vertices that edges touch.
+def _sweep(edges: Collection[Edge]) -> tuple[dict[SplitVertex, int], tuple | None]:
+    """Sink-first levels of the vertices that edges touch, and the witness
+    cycle when the sweep stalls (else None).
 
     Every other vertex is an isolated sink at level 1, so leaving it out
     changes no level and keeps the sweep proportional to the edges.
-    Raises CyclicGraph when the sweep stalls.
+
+    The witness is the cycle that a depth-first search from every vertex
+    in canonical order, successors in canonical order, finds first. A
+    vertex the sweep removes reaches no cycle, so that search only ever
+    finishes it. Each leftover vertex keeps a leftover successor, so no
+    leftover vertex finishes before a cycle is found, and the search never
+    backtracks on the leftover part: it starts at the least leftover vertex
+    and always moves on to the least leftover successor. The walk below
+    follows that path and returns the cycle from the first visit of the
+    vertex that repeats.
     """
     out_degree: dict[SplitVertex, int] = {}
     predecessors: dict[SplitVertex, list] = {}
-    for edge in graph.edges:
+    for edge in edges:
         out_degree[edge.src] = out_degree.get(edge.src, 0) + 1
         out_degree.setdefault(edge.dst, 0)
         predecessors.setdefault(edge.dst, []).append(edge.src)
@@ -259,10 +227,35 @@ def _touched_levels(graph: RPGraph) -> dict[SplitVertex, int]:
                     next_wave.append(pred)
         current = next_wave
         level += 1
-    if len(levels) != len(out_degree):
-        witness = is_acyclic(graph).cycle
-        raise CyclicGraph(f"level sweep stalled on cycle {witness}")
+    if len(levels) == len(out_degree):
+        return levels, None
+
+    successor: dict[SplitVertex, SplitVertex] = {}
+    for edge in edges:
+        if edge.src not in levels and edge.dst not in levels:
+            best = successor.get(edge.src)
+            if best is None or _vertex_key(edge.dst) < _vertex_key(best):
+                successor[edge.src] = edge.dst
+    path = [min(successor, key=_vertex_key)]
+    first_visit = {path[0]: 0}
+    while (vertex := successor[path[-1]]) not in first_visit:
+        first_visit[vertex] = len(path)
+        path.append(vertex)
+    return levels, tuple(path[first_visit[vertex]:])
+
+
+def _levels(graph: RPGraph) -> dict[SplitVertex, int]:
+    """The sweep's levels; raises CyclicGraph, carrying the cycle, when it stalls."""
+    levels, cycle = _sweep(graph.edges)
+    if cycle is not None:
+        raise CyclicGraph(f"level sweep stalled on cycle {cycle}", cycle)
     return levels
+
+
+def is_acyclic(graph: RPGraph) -> AcyclicityCheck:
+    """Cycle test by the level sweep, with its deterministic witness cycle."""
+    cycle = _sweep(graph.edges)[1]
+    return AcyclicityCheck(cycle is None, cycle)
 
 
 def topological_levels(graph: RPGraph) -> dict[SplitVertex, int]:
@@ -275,7 +268,7 @@ def topological_levels(graph: RPGraph) -> dict[SplitVertex, int]:
     The result lists the vertices level by level, each level in canonical
     order. Raises CyclicGraph when the sweep stalls.
     """
-    touched = _touched_levels(graph)
+    touched = _levels(graph)
     levels = [(v, touched.get(v, 1)) for v in graph.vertices]
     return dict(sorted(levels, key=lambda item: item[1]))
 
@@ -294,7 +287,7 @@ def assign_payoffs_split(graph: RPGraph) -> BimatrixGame:
     prices = {1: (Fraction(1), Fraction(-1))}
     a = [[prices[1][0]] * n for _ in range(n)]
     b = [[prices[1][1]] * n for _ in range(n)]
-    for vertex, level in _touched_levels(graph).items():
+    for vertex, level in _levels(graph).items():
         price = prices.get(level)
         if price is None:
             price = prices[level] = (Fraction(level), Fraction(-level))
@@ -304,8 +297,3 @@ def assign_payoffs_split(graph: RPGraph) -> BimatrixGame:
         if vertex.tag != "R":
             b[r][c] = price[1]
     return BimatrixGame(n, tuple(map(tuple, a)), tuple(map(tuple, b)))
-
-
-def assign_payoffs_topological(graph: RPGraph) -> BimatrixGame:
-    """Zero-sum payoffs A = level, B = -A of a graph that splits nothing."""
-    return assign_payoffs_split(graph)

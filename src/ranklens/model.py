@@ -18,7 +18,6 @@ from .errors import (
     EmptySubgame,
     IndexOutOfRange,
     InvalidSize,
-    ProfileOutsideSubgame,
     SizeMismatch,
 )
 
@@ -141,9 +140,6 @@ class DataSet:
         """Distinct subgames, in canonical order."""
         return tuple(sorted({obs.subgame for obs in self.observations}, key=_subgame_key))
 
-    def observations_for(self, subgame: Subgame) -> tuple[Observation, ...]:
-        return tuple(obs for obs in self.observations if obs.subgame == subgame)
-
     def choices(self) -> tuple[StrategyProfile, ...]:
         """Distinct observed choices, in canonical order."""
         return tuple(sorted({obs.choice for obs in self.observations}))
@@ -239,26 +235,14 @@ def sign_pattern(rows: Sequence[Sequence[RationalLike]]) -> SignMatrix:
     return SignMatrix(tuple(tuple(_sign(_to_fraction(x)) for x in row) for row in rows))
 
 
-def is_strict_equilibrium(game: BimatrixGame, subgame: Subgame, profile: StrategyProfile) -> bool:
-    """Whether profile is a strict pure equilibrium of the subgame.
-
-    Strictness is exact: the profile's payoff must beat every deviation
-    within the subgame for the respective player, ties disqualify.
-    """
-    profile = StrategyProfile(*profile)
-    if not subgame.contains(profile):
-        raise ProfileOutsideSubgame(f"profile {profile} lies outside subgame {subgame}")
-    return rationalizes(game, DataSet(game.n, (Observation(profile, subgame),))).ok
-
-
 def strict_equilibria(game: BimatrixGame, subgame: Subgame) -> frozenset[StrategyProfile]:
-    """All strict pure equilibria of the subgame."""
-    for index in (*subgame.rows, *subgame.cols):
-        if not 1 <= index <= game.n:
-            raise IndexOutOfRange(f"index {index} outside 1..{game.n}")
-    return frozenset(
-        profile for profile in subgame.grid() if is_strict_equilibrium(game, subgame, profile)
-    )
+    """All strict pure equilibria of the subgame: the profiles that
+    ``rationalizes`` accepts as observed choices on it. Strictness is
+    exact, so ties disqualify."""
+    grid = subgame.grid()
+    report = rationalizes(game, DataSet(game.n, tuple(Observation(p, subgame) for p in grid)))
+    failed = {failure.observation.choice for failure in report.failures}
+    return frozenset(p for p in grid if p not in failed)
 
 
 @dataclass(frozen=True)

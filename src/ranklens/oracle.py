@@ -15,9 +15,9 @@ from functools import cache
 from itertools import product
 from math import gcd
 
-from .errors import BudgetExceeded, SizeMismatch
+from .errors import BudgetExceeded
 from .graphs import build_split_graph, is_acyclic
-from .model import BimatrixGame, DataSet, StrategyProfile, Subgame, strict_equilibria
+from .model import DataSet
 
 # Largest box the search admits: (2M+1)^(n^2) matrices per side. It
 # admits radius 6 at n = 2 (28,561 matrices) and radius 1 at n = 3 (19,683).
@@ -65,13 +65,6 @@ def zero_sum_feasible(dataset: DataSet) -> bool:
     feasibility is that graph's acyclicity.
     """
     return is_acyclic(build_split_graph(dataset)).acyclic
-
-
-def all_subgame_equilibria(game: BimatrixGame, dataset: DataSet) -> dict[Subgame, frozenset[StrategyProfile]]:
-    """Strict equilibria of every distinct observed subgame."""
-    if game.n != dataset.n:
-        raise SizeMismatch(f"game is {game.n}x{game.n} but dataset expects n={dataset.n}")
-    return {subgame: strict_equilibria(game, subgame) for subgame in dataset.subgames()}
 
 
 def _feasible_lines(n: int, max_abs: int, orders: list[frozenset[tuple[int, int]]]) -> list[frozenset]:

@@ -19,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotLaminar, NotRationalizable, SubgameNotFull, UniquenessViolated
+from .errors import CyclicGraph, NotLaminar, NotRationalizable, SubgameNotFull, UniquenessViolated
 from .graphs import (
     COL,
     ROW,
     RPGraph,
     assign_payoffs_split,
-    assign_payoffs_topological,
     build_split_graph,
     build_strong_laminar_graph,
     is_acyclic,
@@ -33,7 +32,6 @@ from .graphs import (
 from .model import (
     BimatrixGame,
     DataSet,
-    Observation,
     StrategyProfile,
     full_subgame,
     game_rank,
@@ -102,7 +100,6 @@ class RationalizationCertificate:
     method: str
     rank: int
     rank_bound: int | None
-    per_observation: tuple[tuple[Observation, bool], ...]
     uniqueness_guarantee: bool
 
 
@@ -122,16 +119,7 @@ def _certify(
     rank = game_rank(game)
     if rank_bound is not None and rank > rank_bound:
         raise AssertionError(f"internal error: {method} exceeded its rank bound {rank_bound} (rank {rank})")
-    failed = {f.observation for f in report.failures}
-    per_observation = tuple((obs, obs not in failed) for obs in dataset.observations)
-    return RationalizationCertificate(
-        game=game,
-        method=method,
-        rank=rank,
-        rank_bound=rank_bound,
-        per_observation=per_observation,
-        uniqueness_guarantee=uniqueness_guarantee,
-    )
+    return RationalizationCertificate(game, method, rank, rank_bound, uniqueness_guarantee)
 
 
 def rationalize_rank_one(dataset: DataSet) -> RationalizationCertificate:
@@ -216,7 +204,7 @@ def _zero_sum(dataset: DataSet, report: StructureReport) -> RationalizationCerti
         raise NotLaminar("dataset has crossing subgames")
     _require_uniqueness(report)
     graph = build_strong_laminar_graph(dedupe_nested(dataset))
-    game = assign_payoffs_topological(graph)
+    game = assign_payoffs_split(graph)
     return _certify(game, dataset, "zero_sum", rank_bound=0, uniqueness_guarantee=True)
 
 
@@ -237,13 +225,13 @@ def rationalize_bounded_rank(dataset: DataSet) -> RationalizationCertificate:
 def _bounded_rank(dataset: DataSet, report: StructureReport) -> RationalizationCertificate:
     _require_uniqueness(report)
     graph = build_split_graph(dataset, report.crossing_choices)
-    acyclic = is_acyclic(graph)
-    if not acyclic.acyclic:
+    try:
+        game = assign_payoffs_split(graph)
+    except CyclicGraph as exc:
         raise NotRationalizable(
-            f"split revealed-preference graph has cycle {acyclic.cycle}",
-            witness=_split_cycle_witness(acyclic.cycle),
-        )
-    game = assign_payoffs_split(graph)
+            f"split revealed-preference graph has cycle {exc.cycle}",
+            witness=_split_cycle_witness(exc.cycle),
+        ) from None
     return _certify(game, dataset, "bounded_rank", rank_bound=graph.span, uniqueness_guarantee=False)
 
 
@@ -253,14 +241,17 @@ def rationalize_general(dataset: DataSet) -> RationalizationCertificate:
     Every profile is split, so A is priced by levels on the row-player
     constraints alone and B on the column-player constraints alone
     (negated, so the choice's column payoff is largest in its row). No
-    rank guarantee.
+    rank guarantee. The split graph is the two players' graphs side by
+    side, so it is cyclic exactly when one of them is; the witness is the
+    row player's cycle when there is one.
     """
     graph = build_split_graph(dataset, full_subgame(dataset.n).grid())
-    witness = _player_cycle(graph)
-    if witness is not None:
+    try:
+        game = assign_payoffs_split(graph)
+    except CyclicGraph:
+        witness = _player_cycle(graph)
         ineqs = ", ".join(witness.inequalities())
-        raise NotRationalizable(f"contradictory preferences: {ineqs}", witness=witness)
-    game = assign_payoffs_split(graph)
+        raise NotRationalizable(f"contradictory preferences: {ineqs}", witness=witness) from None
     return _certify(game, dataset, "general", rank_bound=None, uniqueness_guarantee=False)
 
 

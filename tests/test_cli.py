@@ -169,6 +169,22 @@ class TestRationalize:
     def test_unknown_method_is_usage_error(self, write, capsys):
         path = write("ds.json", DIAG)
         assert main(["rationalize", path, "--method", "magic"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "PreconditionError"
+
+    def test_order_over_twice_the_size_cap(self, write, capsys, monkeypatch):
+        huge = write("huge.json", '{"n":1000000000000000000000000000000,"observations":[]}')
+        for method in ("auto", "rank1", "zerosum", "bounded", "general"):
+            assert main(["rationalize", huge, "--method", method]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert json.loads(err) == {
+                "error": "SizeLimitExceeded",
+                "message": "order n=1000000000000000000000000000000 exceeds twice the size cap 128",
+            }
+        monkeypatch.setenv("RANKLENS_SIZE_CAP", "2")
+        assert main(["rationalize", write("ds.json", '{"n":5,"observations":[]}')]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "SizeLimitExceeded"
+        assert main(["rationalize", write("ds.json", '{"n":4,"observations":[]}')]) == 0
 
 
 class TestVerify:
@@ -195,6 +211,16 @@ class TestVerify:
                 "inequality": "A[1,2]=7 <= A[2,2]=8",
             }
         ]
+
+    def test_entry_outside_the_grammar(self, write, capsys):
+        game = write("game.json", '{"A":[["1.5","0"],["0","1"]],"B":[["1","0"],["0","1"]],"n":2}')
+        assert main(["verify", game, write("ds.json", DIAG)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "DocumentError",
+            "message": "A[1,1] is not a valid rational: Invalid literal for Fraction: '1.5'",
+        }
 
     def test_size_mismatch(self, write, capsys, known_rank_one_game):
         game = write("game.json", game_to_text(known_rank_one_game))
@@ -301,6 +327,16 @@ class TestMinrank:
         assert json.loads(capsys.readouterr().err)["error"] == "BudgetExceeded"
 
 
+def _usage_record(capsys, prefix):
+    """A usage error leaves one JSON line on stderr and nothing on stdout."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "PreconditionError"
+    assert record["message"].startswith(prefix), record
+
+
 class TestHarness:
     def test_output_file(self, write, tmp_path, capsys):
         path = write("ds.json", DIAG)
@@ -311,9 +347,25 @@ class TestHarness:
 
     def test_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
+        _usage_record(capsys, "ranklens: argument command: invalid choice: ")
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
+        _usage_record(capsys, "ranklens: the following arguments are required: command")
+
+    def test_non_integer_option(self, write, capsys):
+        assert main(["minrank", write("ds.json", DIAG), "--max-abs", "abc"]) == 2
+        _usage_record(capsys, "ranklens minrank: argument --max-abs: invalid int value: 'abc'")
+
+    def test_unknown_flag(self, write, capsys):
+        assert main(["analyze", write("ds.json", DIAG), "--frobnicate"]) == 2
+        _usage_record(capsys, "ranklens: unrecognized arguments: --frobnicate")
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["minrank", "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: ranklens minrank")
+        assert err == ""
 
     def test_round_trip_through_files(self, write, tmp_path, capsys):
         data = write("ds.json", STRIPS)

@@ -2,10 +2,11 @@
 ends with a documented exit code (0-3), and a run that fails with exit 2
 or 3 writes exactly one JSON line on stderr, never a traceback.
 
-Every option value is an integer argparse accepts, so each run gets past
-argument parsing. Games stay small: dataset orders are tiny (or 64 and 100
-with few observations), and a `generate` exponent is either at most 4 or
-refused by every size cap drawn here.
+Option values are mostly integers argparse accepts, so most runs get past
+argument parsing; the rest are strings argparse refuses (a usage error,
+exit 2), as are unknown methods and flags. Games stay small: dataset
+orders are tiny (or 64 and 100 with few observations), and a `generate`
+exponent is either at most 4 or refused by every size cap drawn here.
 """
 
 import io
@@ -82,8 +83,16 @@ def _documents(shape):
     )
 
 
-RADIUS = st.one_of(st.integers(-3, 6), HUGE, HUGE.map(lambda x: -x))
-EXPONENT = st.one_of(st.integers(-3, 4), st.integers(2**20, 10**DIGIT_LIMIT - 1), HUGE.map(lambda x: -x))
+# Option strings int() refuses, some of them flag-like.
+NOT_AN_INT_OPTION = st.one_of(
+    st.sampled_from(["abc", "1.5", "", "1e3", "0x10", " 8_0", "--k", "-x", "9" * (DIGIT_LIMIT + 1)]),
+    st.text(max_size=4).filter(lambda text: not text.strip().lstrip("+-").isdigit()),
+)
+RADIUS = st.one_of(st.integers(-3, 6), HUGE, HUGE.map(lambda x: -x), NOT_AN_INT_OPTION)
+EXPONENT = st.one_of(
+    st.integers(-3, 4), st.integers(2**20, 10**DIGIT_LIMIT - 1), HUGE.map(lambda x: -x), NOT_AN_INT_OPTION
+)
+METHOD = st.one_of(st.sampled_from(["auto", "rank1", "zerosum", "bounded", "general"]), st.just("magic"))
 CAP_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=4)
 SIZE_CAP = st.one_of(
     st.none(), st.integers(-3, 16).map(str), CAP_TEXT,
@@ -106,9 +115,11 @@ def runs(draw):
             files["game"] = draw(_documents(GAME))
             argv = [command, "{game}", "{dataset}"]
         elif command == "rationalize":
-            argv += ["--method", draw(st.sampled_from(["auto", "rank1", "zerosum", "bounded", "general"]))]
+            argv += ["--method", draw(METHOD)]
         elif command == "minrank":
             argv += ["--max-abs", str(draw(RADIUS))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--frobnicate", "-q", "extra"])))
     return argv, files, draw(SIZE_CAP)
 
 

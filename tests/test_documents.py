@@ -1,3 +1,4 @@
+import json
 import sys
 from fractions import Fraction
 from random import Random
@@ -156,6 +157,23 @@ class TestGameDocuments:
         with pytest.raises(DocumentError) as raised:
             game_from_text(text)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "entry", ["1.5", " 2 ", "2 ", "1e3", "1e10000000", "1_000", "1/2.5", "1/-2", "- 1", "0x10", "inf", "nan",
+                  "\u0668", "1/\u0662", "", "/2", "1/"],
+    )
+    def test_entries_outside_the_grammar(self, entry):
+        # Fraction itself accepts several of these (decimals, exponents,
+        # spaces, underscores, non-ASCII digits); the documents do not.
+        text = json.dumps({"A": [[entry]], "B": [["0"]], "n": 1})
+        with pytest.raises(DocumentError) as raised:
+            game_from_text(text)
+        assert str(raised.value) == f"A[1,1] is not a valid rational: Invalid literal for Fraction: {entry!r}"
+
+    def test_entries_inside_the_grammar(self):
+        game = game_from_text('{"A":[["+3","-2/4"],["1","-0"]],"B":[["007","0/5"],[0,0]],"n":2}')
+        assert game.a == ((Fraction(3), Fraction(-1, 2)), (Fraction(1), Fraction(0)))
+        assert game.b[0] == (Fraction(7), Fraction(0))
 
     def test_equal_entries_of_different_types(self):
         game = game_from_text('{"A":[[1,"1"],["1/1",1]],"B":[["-1",-1],[-1,"-2/2"]],"n":2}')

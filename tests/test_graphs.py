@@ -15,7 +15,6 @@ from ranklens import (
     StrategyProfile,
     analyze,
     assign_payoffs_split,
-    assign_payoffs_topological,
     build_split_graph,
     build_strong_laminar_graph,
     crossing_span,
@@ -128,7 +127,7 @@ class TestStrongLaminarGraph:
             Edge(V(1, 2), V(1, 1), COL),
             Edge(V(1, 2), V(2, 2), ROW),
         }
-        game = assign_payoffs_topological(graph)
+        game = assign_payoffs_split(graph)
         assert game.a == ((Fraction(2), Fraction(3)), (Fraction(1), Fraction(1)))
         assert game.b == ((Fraction(-2), Fraction(-3)), (Fraction(-1), Fraction(-1)))
 
@@ -147,7 +146,7 @@ class TestStrongLaminarGraph:
             graph = build_strong_laminar_graph(deduped)
             assert is_acyclic(graph).acyclic
             assert build_split_graph(deduped).edges <= graph.edges
-            game = assign_payoffs_topological(graph)
+            game = assign_payoffs_split(graph)
             assert game.is_zero_sum
             assert rationalizes(game, ds).ok
             for obs in ds.observations:
@@ -160,7 +159,7 @@ class TestLevels:
         graph = build_strong_laminar_graph(ds)
         levels = topological_levels(graph)
         assert levels == {V(1, 1): 2, V(1, 2): 1, V(2, 1): 1, V(2, 2): 1}
-        game = assign_payoffs_topological(graph)
+        game = assign_payoffs_split(graph)
         assert game.a == ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
         assert game.b == ((Fraction(-2), Fraction(-1)), (Fraction(-1), Fraction(-1)))
 
@@ -179,8 +178,25 @@ class TestLevels:
         )
         check = is_acyclic(cyclic)
         assert check == AcyclicityCheck(False, (V(1, 1), V(2, 1)))
-        with pytest.raises(CyclicGraph):
+        with pytest.raises(CyclicGraph) as raised:
             topological_levels(cyclic)
+        assert raised.value.cycle == check.cycle
+        with pytest.raises(CyclicGraph) as raised:
+            assign_payoffs_split(cyclic)
+        assert raised.value.cycle == check.cycle
+
+    def test_witness_starts_at_least_vertex_that_reaches_a_cycle(self):
+        # (1,1) and (1,2) only lead into the cycle (2,2) -> (3,2) -> (2,2);
+        # the search reports the cycle from its first vertex on the walk.
+        edges = {
+            Edge(V(1, 1), V(1, 2), COL),
+            Edge(V(1, 2), V(2, 2), ROW),
+            Edge(V(2, 2), V(3, 2), ROW),
+            Edge(V(3, 2), V(2, 2), ROW),
+            Edge(V(1, 1), V(3, 1), ROW),
+        }
+        check = is_acyclic(RPGraph(3, frozenset(edges)))
+        assert check == AcyclicityCheck(False, (V(2, 2), V(3, 2)))
 
     def test_empty_graph_is_all_level_one(self):
         graph = RPGraph(2, frozenset())
@@ -277,20 +293,29 @@ def _sweep_graphs():
             for kind in (ROW, COL):
                 yield RPGraph(graph.n, frozenset(e for e in graph.edges if e.kind == kind), graph.split)
     rng = Random(43)
-    for _ in range(200):
+    for index in range(400):
         n = rng.randint(1, 5)
+        # Every other graph splits a random set of profiles, so the walk
+        # meets R and C copies of one profile.
+        split = frozenset(
+            P(r, c) for r in range(1, n + 1) for c in range(1, n + 1) if index % 2 and rng.random() < 0.5
+        )
+
+        def copy(r, c, tag):
+            return V(r, c, tag if (r, c) in split else "")
+
         edges = set()
         for _ in range(rng.randint(0, 2 * n * n)):
             r, c = rng.randint(1, n), rng.randint(1, n)
             if rng.random() < 0.5:
                 r2 = rng.randint(1, n)
                 if r2 != r:
-                    edges.add(Edge(V(r, c), V(r2, c), ROW))
+                    edges.add(Edge(copy(r, c, "R"), copy(r2, c, "R"), ROW))
             else:
                 c2 = rng.randint(1, n)
                 if c2 != c:
-                    edges.add(Edge(V(r, c), V(r, c2), COL))
-        yield RPGraph(n, frozenset(edges))
+                    edges.add(Edge(copy(r, c, "C"), copy(r, c2, "C"), COL))
+        yield RPGraph(n, frozenset(edges), split)
 
 
 class TestSparseSweepsMatchDense:
@@ -311,6 +336,7 @@ class TestSparseSweepsMatchDense:
                 with pytest.raises(CyclicGraph) as expected:
                     naive_topological_levels(graph)
                 assert str(raised.value) == str(expected.value)
+                assert raised.value.cycle == check.cycle
             graphs += 1
         assert graphs > 10_000
         assert cyclic > 1_000

@@ -13,13 +13,11 @@ from ranklens import (
     IndexOutOfRange,
     InvalidSize,
     Observation,
-    ProfileOutsideSubgame,
     SizeMismatch,
     StrategyProfile,
     Subgame,
     full_subgame,
     game_rank,
-    is_strict_equilibrium,
     rational_matrix_rank,
     rationalizes,
     sign_pattern,
@@ -97,10 +95,6 @@ class TestEquilibria:
     def test_tie_is_not_strict(self):
         game = BimatrixGame.from_rows([[1, 1], [1, 1]], [[0, 0], [0, 0]])
         assert strict_equilibria(game, full_subgame(2)) == frozenset()
-
-    def test_profile_outside_subgame(self, known_rank_one_game):
-        with pytest.raises(ProfileOutsideSubgame):
-            is_strict_equilibrium(known_rank_one_game, Subgame((1,), (1,)), StrategyProfile(2, 2))
 
     def test_subgame_exceeding_game(self, known_rank_one_game):
         with pytest.raises(IndexOutOfRange):

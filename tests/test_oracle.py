@@ -10,9 +10,6 @@ from ranklens import (
     BimatrixGame,
     BudgetExceeded,
     SearchConfig,
-    SizeMismatch,
-    Subgame,
-    all_subgame_equilibria,
     brute_force_min_rank,
     game_rank,
     rationalizes,
@@ -33,18 +30,6 @@ class TestZeroSumFeasible:
 
     def test_empty_dataset(self):
         assert zero_sum_feasible(validate_dataset([], 2))
-
-
-class TestSubgameEquilibria:
-    def test_diag(self, known_rank_one_game, diag_dataset):
-        table = all_subgame_equilibria(known_rank_one_game, diag_dataset)
-        assert table == {
-            Subgame((1, 2), (1, 2)): frozenset(diag_dataset.choices())
-        }
-
-    def test_size_mismatch(self, known_rank_one_game):
-        with pytest.raises(SizeMismatch):
-            all_subgame_equilibria(known_rank_one_game, validate_dataset([], 3))
 
 
 class TestBruteForce:

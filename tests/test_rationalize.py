@@ -6,13 +6,18 @@ from random import Random
 import pytest
 
 from ranklens import (
+    COL,
+    ROW,
     CycleWitness,
+    Edge,
     NotLaminar,
     NotRationalizable,
+    SplitVertex,
     StrategyProfile,
     SubgameNotFull,
     UniquenessViolated,
     analyze,
+    build_split_graph,
     full_subgame,
     game_rank,
     is_rationalizable,
@@ -54,7 +59,6 @@ class TestRankOne:
         assert cert.rank == 1
         assert cert.rank_bound == 1
         assert cert.uniqueness_guarantee
-        assert all(ok for _, ok in cert.per_observation)
 
     def test_antidiagonal_choices(self):
         ds = validate_dataset([((1, 2), (1, 2), (1, 2)), ((2, 1), (1, 2), (1, 2))], 2)
@@ -118,8 +122,8 @@ class TestZeroSum:
     def test_duplicate_nested_choice_is_deduped(self):
         ds = validate_dataset([((2, 2), (1, 2), (1, 2)), ((2, 2), (2,), (2,))], 2)
         cert = rationalize_zero_sum(ds)
+        assert len(ds.observations) == 2
         assert rationalizes(cert.game, ds).ok
-        assert len(cert.per_observation) == 2
 
     def test_preconditions(self, diag_dataset, crossing_strips_dataset):
         with pytest.raises(NotLaminar):
@@ -313,6 +317,28 @@ class TestProperties:
             assert cert.rank <= report.crossing_span or cert.method == "rank_one", ds
             checked += 1
         assert checked > 100
+
+    def test_bounded_rank_witness_is_one_players_cycle(self):
+        """A bounded-rank refusal names a cycle of one player's strict
+        preferences: each step is an edge of that player's kind in the
+        plain revealed-preference graph, so the data implies each of its
+        inequalities."""
+        refused = 0
+        for ds in property_corpus():
+            if not analyze(ds).uniqueness:
+                continue
+            try:
+                rationalize_bounded_rank(ds)
+            except NotRationalizable as exc:
+                witness = exc.witness
+                kind = ROW if witness.player == "row" else COL
+                edges = build_split_graph(ds).edges
+                cycle = witness.cycle
+                for step, profile in enumerate(cycle):
+                    nxt = cycle[(step + 1) % len(cycle)]
+                    assert Edge(SplitVertex(*profile), SplitVertex(*nxt), kind) in edges, (ds, witness)
+                refused += 1
+        assert refused >= 10
 
     def test_each_call_classifies_once(
         self, classification_calls, diag_dataset, nested_dataset, crossing_strips_dataset
