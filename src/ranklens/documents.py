@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import DocumentError
-from .model import BimatrixGame, DataSet, validate_dataset
+from .model import BimatrixGame, DataSet, _map_entries, validate_dataset
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -86,30 +86,48 @@ def dataset_from_text(text: str) -> DataSet:
     return dataset_from_document(parse_json(text))
 
 
-def _fraction_from_document(value: Any, memo: dict, name: str, r: int, c: int) -> Fraction:
-    """Parse the entry of matrix name at 0-based (r, c). Valid entries are
-    memoized under (type, value), so that true, 1 and "1" stay apart and
-    each distinct entry of a document is parsed once."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise DocumentError(f"{name}[{r + 1},{c + 1}] must be an integer or a 'p/q' string")
-    key = (type(value), value)
-    fraction = memo.get(key)
-    if fraction is None:
-        try:
-            if isinstance(value, str) and not _RATIONAL.fullmatch(value):
-                raise ValueError(f"Invalid literal for Fraction: {value!r}")
-            fraction = memo[key] = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"{name}[{r + 1},{c + 1}] is not a valid rational: {exc}") from None
-    return fraction
+def _memoize(memo: dict, key, keys: list, name: str, r: int) -> None:
+    """Parse the entry of row r under key (see _row_from_document) into
+    memo; a bad one is reported at its first cell in the row's keys."""
+    value = key if type(key) is str else key[1]
+    try:
+        if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
+        memo[key] = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(f"{name}[{r + 1},{keys.index(key) + 1}] is not a valid rational: {exc}") from None
+
+
+def _row_from_document(row: list, memo: dict, name: str, r: int) -> tuple[Fraction, ...]:
+    """Parse row r (0-based) of matrix name.
+
+    Entries are memoized under the string itself, or (type, value) for any
+    other type, so that true, 1 and "1" stay apart and each distinct entry
+    of a document is parsed once. The row's new entries are parsed in row
+    order, so the first bad cell is the one reported. A row of plain
+    integers and strings is walked once per distinct entry (a row of
+    strings, as canonical documents hold, is its own list of keys); any
+    other type sends it cell by cell through the type check.
+    """
+    types = set(map(type, row))
+    keys = row if types == {str} else [x if type(x) is str else (type(x), x) for x in row]
+    if types <= {int, str}:
+        for key in dict.fromkeys(keys):
+            if key not in memo:
+                _memoize(memo, key, keys, name, r)
+    else:
+        for c, value in enumerate(row):
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
+                raise DocumentError(f"{name}[{r + 1},{c + 1}] must be an integer or a 'p/q' string")
+            if keys[c] not in memo:
+                _memoize(memo, keys[c], keys, name, r)
+    return tuple(map(memo.__getitem__, keys))
 
 
 def game_to_document(game: BimatrixGame) -> dict:
-    return {
-        "n": game.n,
-        "A": [list(map(str, row)) for row in game.a],
-        "B": [list(map(str, row)) for row in game.b],
-    }
+    """Each distinct entry object is rendered once."""
+    texts: dict = {}
+    return {"n": game.n, "A": _map_entries(str, game.a, texts), "B": _map_entries(str, game.b, texts)}
 
 
 def game_from_document(document: Any) -> BimatrixGame:
@@ -125,7 +143,7 @@ def game_from_document(document: Any) -> BimatrixGame:
         for r, row in enumerate(rows):
             _expect(isinstance(row, list) and len(row) == n,
                     f"field '{name}' row {r} must be a list of {n} entries")
-            parsed.append(tuple(_fraction_from_document(x, memo, name, r, c) for c, x in enumerate(row)))
+            parsed.append(_row_from_document(row, memo, name, r))
         matrices[name] = tuple(parsed)
     return BimatrixGame(n, matrices["A"], matrices["B"])
 

@@ -12,13 +12,17 @@ carrying only row edges (pricing A) and once carrying only column edges
 and columns. Splitting nothing gives the plain revealed-preference graph;
 splitting every profile separates the row player's constraints from the
 column player's.
+
+The core works on integer vertex ids and (source, target) id pairs; the
+routes call it directly. ``RPGraph`` and the public functions over it
+encode and decode at the boundary and run the same sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import CyclicGraph, NotDeduped
 from .model import BimatrixGame, DataSet, Observation, StrategyProfile
@@ -44,12 +48,31 @@ class Edge(NamedTuple):
     kind: str
 
 
-# Canonical vertex order: by (row, col), then intact before R before C.
-_TAG_ORDER = {"": 0, "R": 1, "C": 2}
+# Vertex id ((row-1)*n + (col-1))*3 + t, with t = 0 for an intact vertex,
+# 1 for an R copy and 2 for a C copy. Integer order is the canonical vertex
+# order: by (row, col), then intact before R before C.
+_TAGS = ("", "R", "C")
+_TAG_CODES = {tag: code for code, tag in enumerate(_TAGS)}
 
 
-def _vertex_key(vertex: SplitVertex) -> tuple[int, int, int]:
-    return (vertex.row, vertex.col, _TAG_ORDER[vertex.tag])
+def _vertex_id(n: int, vertex: SplitVertex) -> int:
+    return ((vertex.row - 1) * n + vertex.col - 1) * 3 + _TAG_CODES[vertex.tag]
+
+
+def _coordinates(n: int, vid: int) -> tuple[int, int, str]:
+    """(row, col, tag) of a vertex id."""
+    cell, tag = divmod(vid, 3)
+    row, col = divmod(cell, n)
+    return row + 1, col + 1, _TAGS[tag]
+
+
+def _vertex(n: int, vid: int) -> SplitVertex:
+    return SplitVertex(*_coordinates(n, vid))
+
+
+def _cells(n: int, profiles: Iterable[tuple[int, int]]) -> set[int]:
+    """The profiles' cells: (row-1)*n + (col-1), the id of the intact vertex over 3."""
+    return {(row - 1) * n + col - 1 for row, col in profiles}
 
 
 @dataclass(frozen=True)
@@ -102,31 +125,52 @@ class RPGraph:
         lines = [f"digraph {name} {{"]
         for v in self.vertices:
             lines.append(f'  "{v}";')
-        for edge in sorted(self.edges, key=lambda e: (_vertex_key(e.src), _vertex_key(e.dst))):
+        for src, dst in sorted(self._pairs()):
+            edge = _edge(self.n, src, dst)
             lines.append(f'  "{edge.src}" -> "{edge.dst}" [kind={edge.kind}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
+    def _pairs(self) -> list[tuple[int, int]]:
+        n = self.n
+        return [(_vertex_id(n, edge.src), _vertex_id(n, edge.dst)) for edge in self.edges]
 
-def _edges(observations: Iterable[Observation], split: frozenset) -> Iterator[Edge]:
+
+def _edge(n: int, src: int, dst: int) -> Edge:
+    """The Edge of an id pair: a row edge keeps its column."""
+    kind = ROW if (src // 3 - dst // 3) % n == 0 else COL
+    return Edge(_vertex(n, src), _vertex(n, dst), kind)
+
+
+def _graph(n: int, pairs: Iterable[tuple[int, int]], split: frozenset[StrategyProfile]) -> RPGraph:
+    return RPGraph(n, frozenset(_edge(n, src, dst) for src, dst in pairs), split)
+
+
+def _edge_ids(n: int, observations: Iterable[Observation], split: Collection[int] = ()) -> tuple[set, set]:
     """The one edge rule: each observed choice beats its deviations.
 
-    Row edges point from the choice to each row deviation and use the R
-    copy of a split endpoint; column edges point from each column
-    deviation to the choice and use the C copy.
+    Returns the row edges and the column edges as id pairs. Row edges
+    point from the choice to each row deviation and use the R copy of an
+    endpoint whose cell is in ``split``; column edges point from each
+    column deviation to the choice and use the C copy.
     """
-
-    def copy(profile: tuple[int, int], tag: str) -> SplitVertex:
-        return SplitVertex(*profile, tag if profile in split else "")
-
+    rows: set[tuple[int, int]] = set()
+    cols: set[tuple[int, int]] = set()
     for obs in observations:
         (i, j), subgame = obs.choice, obs.subgame
+        choice = (i - 1) * n + j - 1
+        is_split = choice in split
+        src = 3 * choice + is_split
         for i2 in subgame.rows:
             if i2 != i:
-                yield Edge(copy((i, j), "R"), copy((i2, j), "R"), ROW)
+                cell = choice + (i2 - i) * n
+                rows.add((src, 3 * cell + (cell in split)))
+        dst = 3 * choice + 2 * is_split
         for j2 in subgame.cols:
             if j2 != j:
-                yield Edge(copy((i, j2), "C"), copy((i, j), "C"), COL)
+                cell = choice + j2 - j
+                cols.add((3 * cell + 2 * (cell in split), dst))
+    return rows, cols
 
 
 def build_split_graph(dataset: DataSet, split: Iterable[StrategyProfile] = frozenset()) -> RPGraph:
@@ -136,8 +180,55 @@ def build_split_graph(dataset: DataSet, split: Iterable[StrategyProfile] = froze
     empty split gives the plain graph; the bounded-rank route splits the
     crossing choices (see ``analyze``).
     """
+    n = dataset.n
     split = frozenset(StrategyProfile(*p) for p in split)
-    return RPGraph(dataset.n, frozenset(_edges(dataset.observations, split)), split)
+    rows, cols = _edge_ids(n, dataset.observations, _cells(n, split))
+    return _graph(n, rows | cols, split)
+
+
+def _strong_edge_ids(dataset: DataSet) -> list[tuple[int, int]]:
+    """Id pairs of the strongly implementing graph; see build_strong_laminar_graph."""
+    seen_choices: dict[StrategyProfile, Observation] = {}
+    for obs in dataset.observations:
+        if obs.choice in seen_choices:
+            raise NotDeduped(
+                f"observations {seen_choices[obs.choice]} and {obs} share choice {obs.choice}"
+            )
+        seen_choices[obs.choice] = obs
+
+    n = dataset.n
+    forest = laminar_forest(dataset)
+    pairs: list[tuple[int, int]] = []
+    for obs in dataset.observations:
+        (i, j), subgame = obs.choice, obs.subgame
+        # Cells and rows of the children that hold row i; sibling grids
+        # are disjoint.
+        row_side: set[int] = set()
+        side_rows: set[int] = set()
+        for child in forest.children_of(subgame):
+            if i in child.rows:
+                row_side |= _cells(n, child.grid())
+                side_rows.update(child.rows)
+        choice = (i - 1) * n + j - 1
+        # A child grid holding the choice would collide with uniqueness
+        # plus deduplication.
+        assert choice not in row_side
+        # Row i and the row side get column edges toward column j, every
+        # other vertex a row edge from row i; row i's column edges and
+        # column j's row edges are the implement edges. Neither makes a
+        # self-loop. tops holds the ids of row i's vertices.
+        tops = [3 * (choice + c - j) for c in subgame.cols]
+        for r in subgame.rows:
+            shift = 3 * (r - i) * n
+            if r == i:
+                pairs += [(top, 3 * choice) for top in tops if top != 3 * choice]
+            elif r in side_rows:
+                for top in tops:
+                    vid = top + shift
+                    pairs.append((vid, 3 * choice + shift) if vid // 3 in row_side else (top, vid))
+            else:
+                pairs += [(top, top + shift) for top in tops]
+    return pairs
 
 
 def build_strong_laminar_graph(dataset: DataSet) -> RPGraph:
@@ -152,37 +243,7 @@ def build_strong_laminar_graph(dataset: DataSet) -> RPGraph:
     The result is acyclic and pins the observed choice as the unique strict
     equilibrium of each subgame once payoffs are assigned by levels.
     """
-    seen_choices: dict[StrategyProfile, Observation] = {}
-    for obs in dataset.observations:
-        if obs.choice in seen_choices:
-            raise NotDeduped(
-                f"observations {seen_choices[obs.choice]} and {obs} share choice {obs.choice}"
-            )
-        seen_choices[obs.choice] = obs
-
-    forest = laminar_forest(dataset)
-    edges = set(_edges(dataset.observations, frozenset()))
-    for obs in dataset.observations:
-        (i, j) = obs.choice
-        subgame = obs.subgame
-        row_side: set[StrategyProfile] = set()
-        col_side: set[StrategyProfile] = set()
-        for child in forest.children_of(subgame):
-            target = row_side if i in child.rows else col_side
-            target.update(child.grid())
-        # A child grid holding the choice would collide with uniqueness
-        # plus deduplication.
-        assert obs.choice not in row_side and obs.choice not in col_side
-        # Sibling grids are disjoint, so no vertex is on both sides.
-        for r in subgame.rows:
-            for c in subgame.cols:
-                if (r, c) in row_side:
-                    edges.add(Edge(SplitVertex(r, c), SplitVertex(r, j), COL))
-                elif (r, c) in col_side or (r != i and c != j):
-                    edges.add(Edge(SplitVertex(i, c), SplitVertex(r, c), ROW))
-    # Self-loops cannot arise: row-side vertices keep their own row for the
-    # column edge, and the row-edge targets all avoid row i.
-    return RPGraph(dataset.n, frozenset(edges))
+    return _graph(dataset.n, _strong_edge_ids(dataset), frozenset())
 
 
 class AcyclicityCheck(NamedTuple):
@@ -190,12 +251,14 @@ class AcyclicityCheck(NamedTuple):
     cycle: tuple | None
 
 
-def _sweep(edges: Collection[Edge]) -> tuple[dict[SplitVertex, int], tuple | None]:
-    """Sink-first levels of the vertices that edges touch, and the witness
-    cycle when the sweep stalls (else None).
+def _sweep(pairs: Collection[tuple[int, int]]) -> tuple[dict[int, int], tuple[int, ...] | None]:
+    """Sink-first levels of the vertices that the id pairs touch, and the
+    witness cycle when the sweep stalls (else None).
 
     Every other vertex is an isolated sink at level 1, so leaving it out
-    changes no level and keeps the sweep proportional to the edges.
+    changes no level and keeps the sweep proportional to the edges. A
+    repeated pair changes nothing either: it counts once more toward its
+    source's out-degree and is discounted once more when its target goes.
 
     The witness is the cycle that a depth-first search from every vertex
     in canonical order, successors in canonical order, finds first. A
@@ -207,36 +270,41 @@ def _sweep(edges: Collection[Edge]) -> tuple[dict[SplitVertex, int], tuple | Non
     follows that path and returns the cycle from the first visit of the
     vertex that repeats.
     """
-    out_degree: dict[SplitVertex, int] = {}
-    predecessors: dict[SplitVertex, list] = {}
-    for edge in edges:
-        out_degree[edge.src] = out_degree.get(edge.src, 0) + 1
-        out_degree.setdefault(edge.dst, 0)
-        predecessors.setdefault(edge.dst, []).append(edge.src)
+    out_degree: dict[int, int] = {}
+    predecessors: dict[int, list[int]] = {}
+    for src, dst in pairs:
+        out_degree[src] = out_degree.get(src, 0) + 1
+        preds = predecessors.get(dst)
+        if preds is None:
+            predecessors[dst] = [src]
+        else:
+            preds.append(src)
 
-    levels: dict[SplitVertex, int] = {}
-    current = [v for v, degree in out_degree.items() if degree == 0]
+    levels: dict[int, int] = {}
+    current = [v for v in predecessors if v not in out_degree]
+    sinks = len(current)
     level = 1
     while current:
         next_wave = []
         for vertex in current:
             levels[vertex] = level
             for pred in predecessors.get(vertex, ()):
-                out_degree[pred] -= 1
-                if out_degree[pred] == 0:
+                left = out_degree[pred] - 1
+                out_degree[pred] = left
+                if not left:
                     next_wave.append(pred)
         current = next_wave
         level += 1
-    if len(levels) == len(out_degree):
+    if len(levels) - sinks == len(out_degree):
         return levels, None
 
-    successor: dict[SplitVertex, SplitVertex] = {}
-    for edge in edges:
-        if edge.src not in levels and edge.dst not in levels:
-            best = successor.get(edge.src)
-            if best is None or _vertex_key(edge.dst) < _vertex_key(best):
-                successor[edge.src] = edge.dst
-    path = [min(successor, key=_vertex_key)]
+    successor: dict[int, int] = {}
+    for src, dst in pairs:
+        if src not in levels and dst not in levels:
+            best = successor.get(src)
+            if best is None or dst < best:
+                successor[src] = dst
+    path = [min(successor)]
     first_visit = {path[0]: 0}
     while (vertex := successor[path[-1]]) not in first_visit:
         first_visit[vertex] = len(path)
@@ -244,18 +312,48 @@ def _sweep(edges: Collection[Edge]) -> tuple[dict[SplitVertex, int], tuple | Non
     return levels, tuple(path[first_visit[vertex]:])
 
 
-def _levels(graph: RPGraph) -> dict[SplitVertex, int]:
+def _decode(n: int, cycle: tuple[int, ...] | None) -> tuple[SplitVertex, ...] | None:
+    return None if cycle is None else tuple(_vertex(n, vid) for vid in cycle)
+
+
+def _cycle_text(n: int, cycle: tuple[int, ...]) -> str:
+    """str() of the decoded cycle, a tuple of two or more SplitVertex,
+    written without building them."""
+    vertices = ("SplitVertex(row={}, col={}, tag={!r})".format(*_coordinates(n, vid)) for vid in cycle)
+    return f"({', '.join(vertices)})"
+
+
+def _levels(n: int, pairs: Collection[tuple[int, int]]) -> dict[int, int]:
     """The sweep's levels; raises CyclicGraph, carrying the cycle, when it stalls."""
-    levels, cycle = _sweep(graph.edges)
+    levels, cycle = _sweep(pairs)
     if cycle is not None:
-        raise CyclicGraph(f"level sweep stalled on cycle {cycle}", cycle)
+        vertices = _decode(n, cycle)
+        raise CyclicGraph(f"level sweep stalled on cycle {vertices}", vertices)
     return levels
+
+
+def _payoffs(n: int, levels: dict[int, int]) -> BimatrixGame:
+    """Payoffs from the levels of vertex ids; see assign_payoffs_split."""
+    prices = {1: (Fraction(1), Fraction(-1))}
+    a = [prices[1][0]] * (n * n)
+    b = [prices[1][1]] * (n * n)
+    for vid, level in levels.items():
+        price = prices.get(level)
+        if price is None:
+            price = prices[level] = (Fraction(level), Fraction(-level))
+        cell, tag = divmod(vid, 3)
+        if tag != 2:
+            a[cell] = price[0]
+        if tag != 1:
+            b[cell] = price[1]
+    starts = range(0, n * n, n)
+    return BimatrixGame(n, tuple(tuple(a[k:k + n]) for k in starts), tuple(tuple(b[k:k + n]) for k in starts))
 
 
 def is_acyclic(graph: RPGraph) -> AcyclicityCheck:
     """Cycle test by the level sweep, with its deterministic witness cycle."""
-    cycle = _sweep(graph.edges)[1]
-    return AcyclicityCheck(cycle is None, cycle)
+    cycle = _sweep(graph._pairs())[1]
+    return AcyclicityCheck(cycle is None, _decode(graph.n, cycle))
 
 
 def topological_levels(graph: RPGraph) -> dict[SplitVertex, int]:
@@ -268,7 +366,8 @@ def topological_levels(graph: RPGraph) -> dict[SplitVertex, int]:
     The result lists the vertices level by level, each level in canonical
     order. Raises CyclicGraph when the sweep stalls.
     """
-    touched = _levels(graph)
+    n = graph.n
+    touched = {_vertex(n, vid): level for vid, level in _levels(n, graph._pairs()).items()}
     levels = [(v, touched.get(v, 1)) for v in graph.vertices]
     return dict(sorted(levels, key=lambda item: item[1]))
 
@@ -283,17 +382,4 @@ def assign_payoffs_split(graph: RPGraph) -> BimatrixGame:
     B = -1 and only the touched vertices are priced; each level becomes
     one Fraction, shared by its cells.
     """
-    n = graph.n
-    prices = {1: (Fraction(1), Fraction(-1))}
-    a = [[prices[1][0]] * n for _ in range(n)]
-    b = [[prices[1][1]] * n for _ in range(n)]
-    for vertex, level in _levels(graph).items():
-        price = prices.get(level)
-        if price is None:
-            price = prices[level] = (Fraction(level), Fraction(-level))
-        r, c = vertex.row - 1, vertex.col - 1
-        if vertex.tag != "C":
-            a[r][c] = price[0]
-        if vertex.tag != "R":
-            b[r][c] = price[1]
-    return BimatrixGame(n, tuple(map(tuple, a)), tuple(map(tuple, b)))
+    return _payoffs(graph.n, _levels(graph.n, graph._pairs()))

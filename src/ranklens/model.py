@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, attrgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -30,6 +31,34 @@ def _to_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating-point payoffs are not supported; use Fraction, int, or 'p/q' strings")
     return Fraction(value)
+
+
+def _fraction_rows(matrix) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix as tuples of Fractions. A row that already is a tuple of
+    Fractions is kept as it is; only the other rows are converted."""
+    return tuple(
+        row if type(row) is tuple and set(map(type, row)) == {Fraction} else tuple(map(_to_fraction, row))
+        for row in matrix
+    )
+
+
+def _map_entries(fn, matrix, memo: dict) -> list[list]:
+    """fn of every entry of the matrix, as a list per row, with fn called
+    once per distinct entry object: memo maps id() to the result.
+
+    Games share one object per value where they can (levels, the game
+    document memo), so that is once per distinct value, and a row whose
+    entries memo already knows is mapped without a Python-level loop.
+    """
+    rows = []
+    for row in matrix:
+        ids = list(map(id, row))
+        try:
+            rows.append(list(map(memo.__getitem__, ids)))
+        except KeyError:
+            memo.update({key: fn(x) for key, x in dict(zip(ids, row)).items() if key not in memo})
+            rows.append(list(map(memo.__getitem__, ids)))
+    return rows
 
 
 def _sign(value) -> int:
@@ -173,8 +202,7 @@ class BimatrixGame:
     b: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        a = tuple(tuple(_to_fraction(x) for x in row) for row in self.a)
-        b = tuple(tuple(_to_fraction(x) for x in row) for row in self.b)
+        a, b = _fraction_rows(self.a), _fraction_rows(self.b)
         for name, matrix in (("A", a), ("B", b)):
             if len(matrix) != self.n or any(len(row) != self.n for row in matrix):
                 raise SizeMismatch(f"{name} must be {self.n}x{self.n}")
@@ -334,13 +362,20 @@ def game_rank(game: BimatrixGame) -> int:
 
     Each row of A + B is scaled to integers straight from the entries'
     numerators and denominators (by the lcm of the row's denominators in
-    A and B), so no Fraction is built; integer games scale by 1.
+    A and B), so no Fraction is built. Numerators and denominators are
+    read once per distinct entry object; a row whose scale is 1 is the
+    sum of its numerators.
     """
-    rows = []
-    for row_a, row_b in zip(game.a, game.b):
-        scale = math.lcm(*(x.denominator for x in row_a), *(y.denominator for y in row_b))
-        rows.append([
-            x.numerator * (scale // x.denominator) + y.numerator * (scale // y.denominator)
-            for x, y in zip(row_a, row_b)
-        ])
-    return _bareiss_rank(rows)
+    memo: dict = {}
+    ratio = attrgetter("numerator", "denominator")
+    total = []
+    for row_a, row_b in zip(_map_entries(ratio, game.a, memo), _map_entries(ratio, game.b, memo)):
+        (nums_a, dens_a), (nums_b, dens_b) = zip(*row_a), zip(*row_b)
+        scale = math.lcm(*dens_a, *dens_b)
+        if scale == 1:
+            total.append(list(map(add, nums_a, nums_b)))
+        else:
+            total.append([
+                x * (scale // dx) + y * (scale // dy) for x, dx, y, dy in zip(nums_a, dens_a, nums_b, dens_b)
+            ])
+    return _bareiss_rank(total)

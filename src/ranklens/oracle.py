@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd
 
 from .errors import BudgetExceeded
-from .graphs import build_split_graph, is_acyclic
+from .graphs import _edge_ids, _sweep
 from .model import DataSet
 
 # Largest box the search admits: (2M+1)^(n^2) matrices per side. It
@@ -64,7 +64,8 @@ def zero_sum_feasible(dataset: DataSet) -> bool:
     edge of the plain revealed-preference graph becomes an A-ordering;
     feasibility is that graph's acyclicity.
     """
-    return is_acyclic(build_split_graph(dataset)).acyclic
+    rows, cols = _edge_ids(dataset.n, dataset.observations)
+    return _sweep(rows | cols)[1] is None
 
 
 def _feasible_lines(n: int, max_abs: int, orders: list[frozenset[tuple[int, int]]]) -> list[frozenset]:

@@ -18,17 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .errors import CyclicGraph, NotLaminar, NotRationalizable, SubgameNotFull, UniquenessViolated
-from .graphs import (
-    COL,
-    ROW,
-    RPGraph,
-    assign_payoffs_split,
-    build_split_graph,
-    build_strong_laminar_graph,
-    is_acyclic,
-)
+from .errors import NotLaminar, NotRationalizable, SubgameNotFull, UniquenessViolated
+from .graphs import _cells, _coordinates, _cycle_text, _edge_ids, _levels, _payoffs, _strong_edge_ids, _sweep
 from .model import (
     BimatrixGame,
     DataSet,
@@ -68,22 +61,29 @@ class RationalizabilityResult:
         return self.rationalizable
 
 
-def _profiles(cycle) -> tuple[StrategyProfile, ...]:
-    return tuple(StrategyProfile(v.row, v.col) for v in cycle)
+def _profiles(n: int, cycle: tuple[int, ...]) -> tuple[StrategyProfile, ...]:
+    """The profiles of a cycle of vertex ids."""
+    return tuple(StrategyProfile(*_coordinates(n, vid)[:2]) for vid in cycle)
 
 
-def _player_cycle(graph: RPGraph) -> CycleWitness | None:
-    """A cycle among the graph's row edges, else among its column edges."""
-    for kind, player in ((ROW, "row"), (COL, "column")):
-        check = is_acyclic(RPGraph(graph.n, frozenset(e for e in graph.edges if e.kind == kind), graph.split))
-        if not check.acyclic:
-            return CycleWitness(player, _profiles(check.cycle))
-    return None
+def _player_sweeps(dataset: DataSet) -> tuple[dict[int, int], dict[int, int], CycleWitness | None]:
+    """Level sweeps of the row player's edges on R copies and the column
+    player's on C copies (every profile split), and a cycle of the row
+    player's, else of the column player's, when one of them stalls."""
+    n = dataset.n
+    witness = None
+    levels = []
+    for pairs, player in zip(_edge_ids(n, dataset.observations, range(n * n)), ("row", "column")):
+        player_levels, cycle = _sweep(pairs)
+        levels.append(player_levels)
+        if cycle is not None and witness is None:
+            witness = CycleWitness(player, _profiles(n, cycle))
+    return levels[0], levels[1], witness
 
 
 def is_rationalizable(dataset: DataSet) -> RationalizabilityResult:
     """Decide rationalizability; on failure, exhibit one player's cycle."""
-    witness = _player_cycle(build_split_graph(dataset))
+    witness = _player_sweeps(dataset)[2]
     return RationalizabilityResult(witness is None, witness)
 
 
@@ -166,15 +166,16 @@ def rationalize_rank_one(dataset: DataSet) -> RationalizationCertificate:
             col_map[c] = next_label
             next_label += 1
 
-    def entries(r: int, c: int) -> tuple[Fraction, Fraction]:
-        i, j = row_map[r], col_map[c]
-        if i <= ell or j <= ell:
-            return Fraction(2 * i * j - i * i + j * j), Fraction(2 * i * j + i * i - j * j)
-        return Fraction(0), Fraction(4 * i * j)
-
-    a = tuple(tuple(entries(r, c)[0] for c in range(1, n + 1)) for r in range(1, n + 1))
-    b = tuple(tuple(entries(r, c)[1] for c in range(1, n + 1)) for r in range(1, n + 1))
-    game = BimatrixGame(n, a, b)
+    # Each cell's A once, B = 4ij - A, and one Fraction per distinct value.
+    fraction = cache(Fraction)
+    labels = [col_map[c] for c in range(1, n + 1)]
+    a, b = [], []
+    for r in range(1, n + 1):
+        i = row_map[r]
+        row_a = [2 * i * j - i * i + j * j if i <= ell or j <= ell else 0 for j in labels]
+        a.append(tuple(map(fraction, row_a)))
+        b.append(tuple(map(fraction, [4 * i * j - x for j, x in zip(labels, row_a)])))
+    game = BimatrixGame(n, tuple(a), tuple(b))
     return _certify(game, dataset, "rank_one", rank_bound=1, uniqueness_guarantee=True)
 
 
@@ -203,17 +204,16 @@ def _zero_sum(dataset: DataSet, report: StructureReport) -> RationalizationCerti
     if not report.laminar:
         raise NotLaminar("dataset has crossing subgames")
     _require_uniqueness(report)
-    graph = build_strong_laminar_graph(dedupe_nested(dataset))
-    game = assign_payoffs_split(graph)
+    game = _payoffs(dataset.n, _levels(dataset.n, _strong_edge_ids(dedupe_nested(dataset))))
     return _certify(game, dataset, "zero_sum", rank_bound=0, uniqueness_guarantee=True)
 
 
-def _split_cycle_witness(cycle) -> CycleWitness:
+def _split_cycle_witness(n: int, cycle: tuple[int, ...]) -> CycleWitness:
     # A split-graph cycle alternates row and column edges; report it as
     # profile coordinates. Player attribution is mixed, label by majority tag.
-    tags = [v.tag for v in cycle]
+    tags = [_coordinates(n, vid)[2] for vid in cycle]
     player = "column" if tags.count("C") > tags.count("R") else "row"
-    return CycleWitness(player, _profiles(cycle))
+    return CycleWitness(player, _profiles(n, cycle))
 
 
 def rationalize_bounded_rank(dataset: DataSet) -> RationalizationCertificate:
@@ -224,15 +224,17 @@ def rationalize_bounded_rank(dataset: DataSet) -> RationalizationCertificate:
 
 def _bounded_rank(dataset: DataSet, report: StructureReport) -> RationalizationCertificate:
     _require_uniqueness(report)
-    graph = build_split_graph(dataset, report.crossing_choices)
-    try:
-        game = assign_payoffs_split(graph)
-    except CyclicGraph as exc:
+    n = dataset.n
+    rows, cols = _edge_ids(n, dataset.observations, _cells(n, report.crossing_choices))
+    levels, cycle = _sweep(rows | cols)
+    if cycle is not None:
         raise NotRationalizable(
-            f"split revealed-preference graph has cycle {exc.cycle}",
-            witness=_split_cycle_witness(exc.cycle),
-        ) from None
-    return _certify(game, dataset, "bounded_rank", rank_bound=graph.span, uniqueness_guarantee=False)
+            f"split revealed-preference graph has cycle {_cycle_text(n, cycle)}",
+            witness=_split_cycle_witness(n, cycle),
+        )
+    game = _payoffs(n, levels)
+    # The crossing span is the span of the split crossing choices.
+    return _certify(game, dataset, "bounded_rank", rank_bound=report.crossing_span, uniqueness_guarantee=False)
 
 
 def rationalize_general(dataset: DataSet) -> RationalizationCertificate:
@@ -242,16 +244,14 @@ def rationalize_general(dataset: DataSet) -> RationalizationCertificate:
     constraints alone and B on the column-player constraints alone
     (negated, so the choice's column payoff is largest in its row). No
     rank guarantee. The split graph is the two players' graphs side by
-    side, so it is cyclic exactly when one of them is; the witness is the
-    row player's cycle when there is one.
+    side, so each is swept on its own, and it is cyclic exactly when one
+    of them is; the witness is the row player's cycle when there is one.
     """
-    graph = build_split_graph(dataset, full_subgame(dataset.n).grid())
-    try:
-        game = assign_payoffs_split(graph)
-    except CyclicGraph:
-        witness = _player_cycle(graph)
+    row_levels, col_levels, witness = _player_sweeps(dataset)
+    if witness is not None:
         ineqs = ", ".join(witness.inequalities())
-        raise NotRationalizable(f"contradictory preferences: {ineqs}", witness=witness) from None
+        raise NotRationalizable(f"contradictory preferences: {ineqs}", witness=witness)
+    game = _payoffs(dataset.n, {**row_levels, **col_levels})
     return _certify(game, dataset, "general", rank_bound=None, uniqueness_guarantee=False)
 
 

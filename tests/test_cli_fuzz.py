@@ -132,7 +132,8 @@ def test_every_run_ends_with_a_documented_exit(run):
         for name, content in files.items():
             paths[name] = Path(scratch) / f"{name}.json"
             paths[name].write_bytes(content)
-        argv = [arg.format(**paths) for arg in argv]
+        # Only the exact placeholders are replaced: a drawn option may hold braces.
+        argv = [str(paths[arg[1:-1]]) if arg in ("{dataset}", "{game}") else arg for arg in argv]
         out, err = io.StringIO(), io.StringIO()
         with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
             os.environ.pop(SIZE_CAP_ENV, None)

@@ -159,6 +159,35 @@ class TestGameDocuments:
         assert str(raised.value) == message
 
     @pytest.mark.parametrize(
+        "row, message",
+        [
+            # Two different bad entries in one row: the first in row order.
+            (["1", "1/0", "x"], "A[1,2] is not a valid rational: Fraction(1, 0)"),
+            (["1", "x", "1/0"], "A[1,2] is not a valid rational: Invalid literal for Fraction: 'x'"),
+            ([1, "x", True], "A[1,2] is not a valid rational: Invalid literal for Fraction: 'x'"),
+            ([1, True, "x"], "A[1,2] must be an integer or a 'p/q' string"),
+            (["x", None, "x"], "A[1,1] is not a valid rational: Invalid literal for Fraction: 'x'"),
+            # A bad entry after good duplicates, of the same or another type.
+            (["2", "2", "x"], "A[1,3] is not a valid rational: Invalid literal for Fraction: 'x'"),
+            ([1, "1", 1, "1/0"], "A[1,4] is not a valid rational: Fraction(1, 0)"),
+            ([1, 1, 1.5], "A[1,3] must be an integer or a 'p/q' string"),
+        ],
+    )
+    def test_first_bad_entry_of_a_row(self, row, message):
+        n = len(row)
+        good = [[0] * n for _ in range(n)]
+        with pytest.raises(DocumentError) as raised:
+            game_from_text(json.dumps({"A": [row] + good[1:], "B": good, "n": n}))
+        assert str(raised.value) == message
+        # The same row after a row that holds its good entries: the memo of
+        # the earlier row does not hide the bad entry.
+        earlier = [x for x in row if type(x) in (int, str) and x in ("1", "2", 1)] or [0]
+        earlier = (earlier * n)[:n]
+        with pytest.raises(DocumentError) as raised:
+            game_from_text(json.dumps({"A": [earlier, row] + good[2:], "B": good, "n": n}))
+        assert str(raised.value) == message.replace("A[1,", "A[2,")
+
+    @pytest.mark.parametrize(
         "entry", ["1.5", " 2 ", "2 ", "1e3", "1e10000000", "1_000", "1/2.5", "1/-2", "- 1", "0x10", "inf", "nan",
                   "\u0668", "1/\u0662", "", "/2", "1/"],
     )

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -7,9 +8,11 @@ from ranklens import (
     COL,
     ROW,
     AcyclicityCheck,
+    CycleWitness,
     CyclicGraph,
     Edge,
     NotDeduped,
+    RanklensError,
     RPGraph,
     SplitVertex,
     StrategyProfile,
@@ -34,7 +37,10 @@ from ranklens import (
     validate_dataset,
     zero_sum_feasible,
 )
+from ranklens import graphs
+from ranklens.graphs import _cycle_text, _decode, _vertex, _vertex_id
 from .generators import (
+    _canonical,
     naive_is_acyclic,
     naive_topological_levels,
     random_laminar_unique_dataset,
@@ -357,3 +363,97 @@ class TestSparseSweepsMatchDense:
         assert rationalize_general(diag_dataset).method == "general"
         for ds in (diag_dataset, nested_dataset, crossing_strips_dataset):
             assert rationalizes(rationalize_auto(ds).game, ds).ok
+
+
+class TestVertexIds:
+    def test_id_order_is_the_canonical_vertex_order(self):
+        rng = Random(47)
+        for _ in range(300):
+            n = rng.randint(1, 40)
+            vertices = [V(rng.randint(1, n), rng.randint(1, n), rng.choice(("", "R", "C"))) for _ in range(12)]
+            for v in vertices:
+                assert _vertex(n, _vertex_id(n, v)) == v
+                for w in vertices:
+                    assert (_vertex_id(n, v) < _vertex_id(n, w)) == (_canonical(v) < _canonical(w))
+
+    def test_cycle_text_is_the_decoded_tuple_text(self):
+        rng = Random(53)
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            cycle = tuple(rng.randrange(3 * n * n) for _ in range(rng.randint(2, 5)))
+            assert _cycle_text(n, cycle) == str(_decode(n, cycle))
+
+
+def _outcome(route, ds):
+    try:
+        cert = route(ds)
+    except RanklensError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "witness", None))
+    return (cert.method, cert.rank, cert.rank_bound, cert.uniqueness_guarantee, cert.game)
+
+
+ROUTES = (rationalize_rank_one, rationalize_zero_sum, rationalize_bounded_rank, rationalize_general, rationalize_auto)
+
+
+def _route_results(ds):
+    return (is_rationalizable(ds), zero_sum_feasible(ds), *(_outcome(route, ds) for route in ROUTES))
+
+
+def _profiles(cycle):
+    return tuple(P(v.row, v.col) for v in cycle)
+
+
+def _check_against_public_graphs(ds, results):
+    """The routes' results equal what the public graph functions give."""
+    decision, feasible, _, zero_sum, bounded, general, _ = results
+    plain = build_split_graph(ds)
+    witness = None
+    for kind, player in ((ROW, "row"), (COL, "column")):
+        check = is_acyclic(RPGraph(ds.n, frozenset(e for e in plain.edges if e.kind == kind)))
+        if not check.acyclic:
+            witness = CycleWitness(player, _profiles(check.cycle))
+            break
+    assert (decision.rationalizable, decision.witness) == (witness is None, witness)
+    assert feasible == is_acyclic(plain).acyclic
+    if witness is None:
+        assert general[4] == assign_payoffs_split(build_split_graph(ds, full_subgame(ds.n).grid()))
+    else:
+        assert general == ("NotRationalizable", f"contradictory preferences: {', '.join(witness.inequalities())}",
+                           witness)
+    report = analyze(ds)
+    if report.laminar and report.uniqueness:
+        assert zero_sum[4] == assign_payoffs_split(build_strong_laminar_graph(dedupe_nested(ds)))
+    if report.uniqueness:
+        split = crossing_split_graph(ds)
+        check = is_acyclic(split)
+        if check.acyclic:
+            assert bounded[2] == split.span
+            assert bounded[4] == assign_payoffs_split(split)
+        else:
+            tags = [v.tag for v in check.cycle]
+            player = "column" if tags.count("C") > tags.count("R") else "row"
+            assert bounded == ("NotRationalizable", f"split revealed-preference graph has cycle {check.cycle}",
+                               CycleWitness(player, _profiles(check.cycle)))
+
+
+class TestRoutesOnIds:
+    def test_route_path_builds_no_graph_objects(self, monkeypatch):
+        corpus = list(reference_corpus())
+        expected = []
+        for ds in corpus:
+            expected.append(_route_results(ds))
+            _check_against_public_graphs(ds, expected[-1])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph object was built on the route path")
+
+        monkeypatch.setattr(graphs, "Edge", refuse)
+        monkeypatch.setattr(graphs, "SplitVertex", refuse)
+        monkeypatch.setattr(RPGraph, "__post_init__", refuse)
+        negatives = Counter()
+        for ds, want in zip(corpus, expected):
+            assert _route_results(ds) == want
+            for outcome in want[2:]:
+                negatives[outcome[0] == "NotRationalizable"] += 1
+        # Positive and negative outcomes both took the route path.
+        assert negatives[True] > 100 and negatives[False] > 1000

@@ -18,6 +18,7 @@ from ranklens import (
     Subgame,
     full_subgame,
     game_rank,
+    game_to_text,
     rational_matrix_rank,
     rationalizes,
     sign_pattern,
@@ -201,6 +202,26 @@ class TestRank:
             game = BimatrixGame.from_rows(a, b)
             assert game.total() == tuple(map(tuple, total))
             assert game_rank(game) == minor_rank(total) == rational_matrix_rank(total)
+
+    def test_shared_and_separate_entry_objects_agree(self):
+        # game_rank and game_to_text work once per distinct entry object. A
+        # game whose equal entries are one object must read like one whose
+        # every cell is an object of its own; rows mix integer and rational
+        # entries, so some scale by 1 and some do not.
+        rng = Random(13)
+        for _ in range(80):
+            size = rng.randint(1, 6)
+            pool = [Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(rng.randint(1, 4))]
+            a = [[rng.choice(pool) for _ in range(size)] for _ in range(size)]
+            b = [[rng.choice(pool) for _ in range(size)] for _ in range(size)]
+            shared = BimatrixGame.from_rows(a, b)
+            separate = BimatrixGame.from_rows(
+                *([[Fraction(x.numerator, x.denominator) for x in row] for row in m] for m in (a, b))
+            )
+            assert len({id(x) for m in (separate.a, separate.b) for row in m for x in row}) == 2 * size * size
+            assert separate == shared
+            assert game_rank(shared) == game_rank(separate) == rational_matrix_rank(shared.total())
+            assert game_to_text(shared) == game_to_text(separate)
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
