@@ -37,19 +37,6 @@ from .documents import (
     game_to_text,
     parse_json,
 )
-from .graphs import (
-    COL,
-    ROW,
-    AcyclicityCheck,
-    Edge,
-    RPGraph,
-    SplitVertex,
-    assign_payoffs_split,
-    build_split_graph,
-    build_strong_laminar_graph,
-    is_acyclic,
-    topological_levels,
-)
 from .hadamard import (
     block_difference_certificate,
     hadamard_minrank_bound,

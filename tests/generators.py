@@ -12,8 +12,6 @@ from itertools import combinations, product
 from random import Random
 
 from ranklens import (
-    AcyclicityCheck,
-    CyclicGraph,
     DataSet,
     LaminarForest,
     RanklensError,
@@ -338,24 +336,48 @@ def naive_dedupe_nested(dataset: DataSet) -> DataSet:
 
 
 # --- dense graph sweep references ------------------------------------------
-# The package walks only the vertices that edges touch; these walk all of
-# graph.vertices, isolated ones included, straight from the definitions.
+# A graph is a vertex count n, (source, target) vertex id pairs and the set
+# of split cells, (row-1)*n + (col-1). The package walks only the vertices
+# that edges touch, in integer id order; these walk every vertex, isolated
+# ones included, in canonical (row, col, tag) order, straight from the
+# definitions.
 
 _TAG_ORDER = {"": 0, "R": 1, "C": 2}
 
 
 def _canonical(vertex):
-    return (vertex.row, vertex.col, _TAG_ORDER[vertex.tag])
+    row, col, tag = vertex
+    return (row, col, _TAG_ORDER[tag])
 
 
-def naive_is_acyclic(graph) -> AcyclicityCheck:
-    """Depth-first cycle search from every vertex in canonical order."""
-    vertices = graph.vertices
+def vertex_id(n: int, row: int, col: int, tag: str = "") -> int:
+    """The package's id of a vertex: three ids per profile, in the order
+    intact, R copy, C copy."""
+    return ((row - 1) * n + col - 1) * 3 + _TAG_ORDER[tag]
+
+
+def naive_vertices(n: int, split_cells) -> dict:
+    """Vertex id -> (row, col, tag) for every vertex, in canonical order: an
+    R and a C copy of each split profile, one intact vertex of every other."""
+    vertices = {}
+    for row in range(1, n + 1):
+        for col in range(1, n + 1):
+            for tag in ("R", "C") if (row - 1) * n + col - 1 in split_cells else ("",):
+                vertices[vertex_id(n, row, col, tag)] = (row, col, tag)
+    return vertices
+
+
+def naive_is_acyclic(n: int, pairs, split_cells) -> tuple:
+    """(acyclic, cycle): a depth-first cycle search from every vertex in
+    canonical order, successors in canonical order; the cycle, as vertex
+    ids, runs from the first vertex of the path that the search meets
+    again."""
+    vertices = naive_vertices(n, split_cells)
     adjacency = {v: [] for v in vertices}
-    for edge in graph.edges:
-        adjacency[edge.src].append(edge.dst)
+    for src, dst in pairs:
+        adjacency[src].append(dst)
     for neighbors in adjacency.values():
-        neighbors.sort(key=_canonical)
+        neighbors.sort(key=lambda v: _canonical(vertices[v]))
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {v: WHITE for v in vertices}
@@ -371,7 +393,7 @@ def naive_is_acyclic(graph) -> AcyclicityCheck:
                 stack[-1] = (vertex, pointer + 1)
                 nxt = adjacency[vertex][pointer]
                 if color[nxt] == GRAY:
-                    return AcyclicityCheck(False, tuple(path[path.index(nxt):]))
+                    return False, tuple(path[path.index(nxt):])
                 if color[nxt] == WHITE:
                     color[nxt] = GRAY
                     stack.append((nxt, 0))
@@ -380,18 +402,18 @@ def naive_is_acyclic(graph) -> AcyclicityCheck:
                 color[vertex] = BLACK
                 stack.pop()
                 path.pop()
-    return AcyclicityCheck(True, None)
+    return True, None
 
 
-def naive_topological_levels(graph) -> dict:
-    """Sink-first sweep over every vertex; each wave in canonical order.
-    Raises CyclicGraph when the sweep stalls."""
-    vertices = graph.vertices
+def naive_topological_levels(n: int, pairs, split_cells) -> dict | None:
+    """Sink-first sweep over every vertex, each wave in canonical order:
+    vertex id -> level, level by level, or None when the sweep stalls."""
+    vertices = naive_vertices(n, split_cells)
     out_degree = {v: 0 for v in vertices}
     predecessors = {v: [] for v in vertices}
-    for edge in graph.edges:
-        out_degree[edge.src] += 1
-        predecessors[edge.dst].append(edge.src)
+    for src, dst in pairs:
+        out_degree[src] += 1
+        predecessors[dst].append(src)
 
     levels = {}
     current = [v for v in vertices if out_degree[v] == 0]
@@ -404,8 +426,6 @@ def naive_topological_levels(graph) -> dict:
                 out_degree[pred] -= 1
                 if out_degree[pred] == 0:
                     next_wave.append(pred)
-        current = sorted(next_wave, key=_canonical)
+        current = sorted(next_wave, key=lambda v: _canonical(vertices[v]))
         level += 1
-    if len(levels) != len(vertices):
-        raise CyclicGraph(f"level sweep stalled on cycle {naive_is_acyclic(graph).cycle}")
-    return levels
+    return levels if len(levels) == len(vertices) else None

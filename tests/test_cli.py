@@ -12,6 +12,13 @@ from ranklens.cli import main
 DIAG = '{"n":2,"observations":[{"choice":[1,1],"cols":[1,2],"rows":[1,2]},{"choice":[2,2],"cols":[1,2],"rows":[1,2]}]}\n'
 CONTRADICTORY = '{"n":2,"observations":[{"choice":[1,1],"cols":[1,2],"rows":[1,2]},{"choice":[2,1],"cols":[1],"rows":[1,2]}]}\n'
 STRIPS = '{"n":2,"observations":[{"choice":[2,2],"cols":[2],"rows":[1,2]},{"choice":[2,2],"cols":[1,2],"rows":[2]}]}\n'
+# Uniqueness data whose crossing-split graph has a cycle of C copies.
+SPLIT_CYCLE = (
+    '{"n":3,"observations":[{"choice":[1,1],"cols":[1,2],"rows":[1,3]},{"choice":[1,2],"cols":[2,3],"rows":[1]},'
+    '{"choice":[1,2],"cols":[2],"rows":[1,2]},{"choice":[1,3],"cols":[1,3],"rows":[1]},'
+    '{"choice":[1,3],"cols":[3],"rows":[1,2]},{"choice":[2,1],"cols":[1,2,3],"rows":[1,2,3]},'
+    '{"choice":[3,1],"cols":[1,3],"rows":[3]}]}\n'
+)
 
 
 @pytest.fixture
@@ -165,6 +172,18 @@ class TestRationalize:
         assert document["rank"] == 1
         assert document["rank_bound"] == 1
         assert document["uniqueness_guarantee"] is False
+
+    def test_bounded_refusal_names_the_split_cycle(self, write, capsys):
+        path = write("ds.json", SPLIT_CYCLE)
+        assert main(["rationalize", path, "--method", "bounded"]) == 1
+        out, err = capsys.readouterr()
+        assert out == (
+            '{"message":"split revealed-preference graph has cycle (SplitVertex(row=1, col=1, tag=\'C\'), '
+            "SplitVertex(row=1, col=3, tag='C'), SplitVertex(row=1, col=2, tag='C'))\","
+            '"rationalizable":false,"witness":{"cycle":[[1,1],[1,3],[1,2]],'
+            '"inequalities":["B[1,3] > B[1,1]","B[1,2] > B[1,3]","B[1,1] > B[1,2]"],"player":"column"}}\n'
+        )
+        assert err == ""
 
     def test_unknown_method_is_usage_error(self, write, capsys):
         path = write("ds.json", DIAG)

@@ -5,7 +5,6 @@ import pytest
 
 from ranklens import (
     BimatrixGame,
-    DataSet,
     InvalidSize,
     NotPowerOfTwo,
     NotTwoRegular,
@@ -14,7 +13,6 @@ from ranklens import (
     SizeMismatch,
     ZeroSignEntry,
     block_difference_certificate,
-    build_split_graph,
     crossing_span,
     hadamard_minrank_bound,
     is_laminar,
@@ -29,6 +27,7 @@ from ranklens import (
     uniqueness_variant,
     validate_dataset,
 )
+from ranklens.graphs import _edge_ids
 from .generators import rank_one_sign_realizable
 
 H2 = SignMatrix(((1, 1), (1, -1)))
@@ -150,12 +149,10 @@ class TestUniquenessVariant:
                     set(o.subgame.rows) <= set(block.rows)
                     and set(o.subgame.cols) <= set(block.cols)
                 )
-                original_edges = build_split_graph(
-                    DataSet(original.n, tuple(o for o in original.observations if o.subgame == block))
-                ).edges
-                variant_edges = build_split_graph(
-                    DataSet(variant.n, tuple(o for o in variant.observations if in_block(o)))
-                ).edges
+                original_edges = _edge_ids(
+                    original.n, (o for o in original.observations if o.subgame == block)
+                )
+                variant_edges = _edge_ids(variant.n, (o for o in variant.observations if in_block(o)))
                 assert variant_edges == original_edges
 
     def test_structure(self):

@@ -6,18 +6,13 @@ from random import Random
 import pytest
 
 from ranklens import (
-    COL,
-    ROW,
     CycleWitness,
-    Edge,
     NotLaminar,
     NotRationalizable,
-    SplitVertex,
     StrategyProfile,
     SubgameNotFull,
     UniquenessViolated,
     analyze,
-    build_split_graph,
     full_subgame,
     game_rank,
     is_rationalizable,
@@ -32,7 +27,8 @@ from ranklens import (
     two_regular_dataset,
     validate_dataset,
 )
-from .generators import random_laminar_unique_dataset, random_uniqueness_dataset, two_by_two_sweep
+from ranklens.graphs import _edge_ids
+from .generators import random_laminar_unique_dataset, random_uniqueness_dataset, two_by_two_sweep, vertex_id
 
 
 def P(r, c):
@@ -320,7 +316,7 @@ class TestProperties:
 
     def test_bounded_rank_witness_is_one_players_cycle(self):
         """A bounded-rank refusal names a cycle of one player's strict
-        preferences: each step is an edge of that player's kind in the
+        preferences: each step is an edge of that player's part of the
         plain revealed-preference graph, so the data implies each of its
         inequalities."""
         refused = 0
@@ -331,12 +327,12 @@ class TestProperties:
                 rationalize_bounded_rank(ds)
             except NotRationalizable as exc:
                 witness = exc.witness
-                kind = ROW if witness.player == "row" else COL
-                edges = build_split_graph(ds).edges
+                rows, cols = _edge_ids(ds.n, ds.observations)
+                edges = rows if witness.player == "row" else cols
                 cycle = witness.cycle
                 for step, profile in enumerate(cycle):
                     nxt = cycle[(step + 1) % len(cycle)]
-                    assert Edge(SplitVertex(*profile), SplitVertex(*nxt), kind) in edges, (ds, witness)
+                    assert (vertex_id(ds.n, *profile), vertex_id(ds.n, *nxt)) in edges, (ds, witness)
                 refused += 1
         assert refused >= 10
 
