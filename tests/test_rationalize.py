@@ -9,10 +9,13 @@ from ranklens import (
     CycleWitness,
     NotLaminar,
     NotRationalizable,
+    RanklensError,
     StrategyProfile,
     SubgameNotFull,
     UniquenessViolated,
     analyze,
+    dataset_from_text,
+    dataset_to_text,
     full_subgame,
     game_rank,
     is_rationalizable,
@@ -25,10 +28,17 @@ from ranklens import (
     strict_equilibria,
     sylvester_hadamard,
     two_regular_dataset,
+    uniqueness_variant,
     validate_dataset,
 )
 from ranklens.graphs import _edge_ids
-from .generators import random_laminar_unique_dataset, random_uniqueness_dataset, two_by_two_sweep, vertex_id
+from .generators import (
+    random_laminar_unique_dataset,
+    random_uniqueness_dataset,
+    reference_corpus,
+    two_by_two_sweep,
+    vertex_id,
+)
 
 
 def P(r, c):
@@ -353,3 +363,33 @@ class TestProperties:
             assert route(ds).method == method
             assert classification_calls["satisfies_uniqueness"] <= 1, (route.__name__, method)
             assert classification_calls["crossing_set"] <= 1, (route.__name__, method)
+            # The dataset keeps its classification: asking again classifies nothing.
+            classification_calls.clear()
+            assert route(ds).method == method
+            assert not classification_calls, (route.__name__, method)
+
+    def test_a_fresh_dataset_classifies_once_in_auto(self, classification_calls):
+        ds = uniqueness_variant(two_regular_dataset(sylvester_hadamard(2)))
+        assert rationalize_auto(ds).method == "bounded_rank"
+        assert classification_calls == {"satisfies_uniqueness": 1, "crossing_set": 1}
+
+    def test_routes_answer_alike_on_warmed_and_fresh_datasets(self):
+        routes = (rationalize_auto, rationalize_zero_sum, rationalize_bounded_rank, rationalize_general,
+                  rationalize_rank_one, is_rationalizable)
+
+        def answer(route, ds):
+            try:
+                return route(ds)
+            except RanklensError as exc:
+                return type(exc), str(exc), getattr(exc, "witness", None)
+
+        checked = 0
+        for ds in reference_corpus():
+            text = dataset_to_text(ds)
+            warmed = dataset_from_text(text)
+            analyze(warmed)
+            first = [answer(route, warmed) for route in routes]
+            assert [answer(route, warmed) for route in routes] == first
+            assert [answer(route, dataset_from_text(text)) for route in routes] == first
+            checked += 1
+        assert checked == 957

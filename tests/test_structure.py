@@ -1,3 +1,5 @@
+import copy
+import pickle
 from random import Random
 
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from ranklens import (
     analyze,
     crossing_set,
     crossing_span,
+    dataset_from_text,
+    dataset_to_text,
     dedupe_nested,
     is_laminar,
     laminar_forest,
@@ -235,3 +239,27 @@ class TestIndexedMatchesPairwise:
             checked += 1
         assert checked == 697 + 7 * 12 * 3 + 8
         assert violations > 100
+
+
+class TestClassificationMemo:
+    """A dataset classifies once and keeps the result beside its fields,
+    where no comparison, hash, repr, pickle or document can see it."""
+
+    def test_an_analysed_dataset_looks_fresh(self):
+        for ds in reference_corpus():
+            text = dataset_to_text(ds)
+            warmed, fresh = dataset_from_text(text), dataset_from_text(text)
+            report = analyze(warmed)
+            assert analyze(warmed) is report
+            helpers = (is_laminar, crossing_span, crossing_set, satisfies_uniqueness, laminar_forest, dedupe_nested)
+            for helper in helpers:
+                helper(warmed)
+            assert "_classification" in vars(warmed)
+            assert warmed == fresh and hash(warmed) == hash(fresh)
+            assert repr(warmed) == repr(fresh)
+            assert pickle.dumps(warmed) == pickle.dumps(fresh)
+            for copied in (pickle.loads(pickle.dumps(warmed)), copy.copy(warmed), copy.deepcopy(warmed)):
+                assert copied == fresh
+                assert set(vars(copied)) == {"n", "observations"}
+                assert analyze(copied) == report  # classified afresh
+            assert dataset_to_text(warmed) == text
