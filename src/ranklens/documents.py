@@ -42,13 +42,8 @@ def _expect(condition: bool, message: str) -> None:
 
 
 def _int_list(value: Any, context: str) -> list[int]:
-    """value, when it is a list of integers (bools are not). Element types
-    are compared at C speed; only a list holding another type, such as an
-    int subclass, is walked in Python."""
-    _expect(isinstance(value, list) and (
-        {int}.issuperset(map(type, value))
-        or all(isinstance(x, int) and not isinstance(x, bool) for x in value)
-    ), f"{context} must be a list of integers")
+    _expect(isinstance(value, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in value),
+            f"{context} must be a list of integers")
     return value
 
 

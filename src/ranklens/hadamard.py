@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from itertools import product
-from operator import add, sub
+from operator import add, floordiv, mul, sub
 
 from .errors import (
     InvalidSize,
@@ -156,25 +156,47 @@ def block_difference_certificate(game: BimatrixGame, sign: SignMatrix) -> bool:
     game of a 2-regular dataset the result's sign pattern is the block
     pattern itself.
 
-    C is taken on integers: every entry is scaled by the lcm of the game's
-    denominators, which keeps every sign, and each distinct entry object is
-    read once.
+    Each block's sum is taken on integers: its eight entries of A and B are
+    scaled by the lcm of their own denominators, which keeps the sign and
+    bounds the integers by that block's entries alone; an integer game
+    needs no scaling. Each distinct entry object's numerator and
+    denominator are read once.
     """
     if game.n != 2 * sign.order:
         raise SizeMismatch(f"game is {game.n}x{game.n}, sign matrix of order {sign.order} needs n={2 * sign.order}")
     entries: dict = {}
     for row in (*game.a, *game.b):
         entries.update(zip(map(id, row), row))
-    scale = math.lcm(*{x.denominator for x in entries.values()})
-    scaled = {key: x.numerator * (scale // x.denominator) for key, x in entries.items()}.__getitem__
-    c = [
-        list(map(add, map(scaled, map(id, row_a)), map(scaled, map(id, row_b))))
-        for row_a, row_b in zip(game.a, game.b)
-    ]
+    numerator = {key: x.numerator for key, x in entries.items()}.__getitem__
+    denominator_of = {key: x.denominator for key, x in entries.items()}
+    denominator, integral = denominator_of.__getitem__, {1}.issuperset(denominator_of.values())
     pattern = []
-    for upper, lower in zip(c[0::2], c[1::2]):
-        difference = list(map(sub, upper, lower))
-        pattern.append(tuple(map(_sign, map(sub, difference[0::2], difference[1::2]))))
+    for r in range(0, game.n, 2):
+        # The corners of this row pair's blocks, one id list per corner and
+        # matrix: the four added in the alternating sum, then the four
+        # subtracted.
+        added, subtracted = [], []
+        for matrix in (game.a, game.b):
+            upper, lower = list(map(id, matrix[r])), list(map(id, matrix[r + 1]))
+            added += [upper[0::2], lower[1::2]]
+            subtracted += [upper[1::2], lower[0::2]]
+        corners = added + subtracted
+        if integral:
+            scaled = [map(numerator, ids) for ids in corners]
+        else:
+            denominators = [list(map(denominator, ids)) for ids in corners]
+            scale = list(map(math.lcm, *denominators))
+            scaled = [
+                map(mul, map(numerator, ids), map(floordiv, scale, dens))
+                for ids, dens in zip(corners, denominators)
+            ]
+        plus_a, plus_b, plus_c, plus_d, minus_a, minus_b, minus_c, minus_d = scaled
+        sums = map(
+            sub,
+            map(add, map(add, plus_a, plus_b), map(add, plus_c, plus_d)),
+            map(add, map(add, minus_a, minus_b), map(add, minus_c, minus_d)),
+        )
+        pattern.append(tuple(map(_sign, sums)))
     return tuple(pattern) == sign.entries
 
 

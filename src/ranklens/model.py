@@ -9,7 +9,7 @@ a canonical form, so equal objects compare and serialize identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
 from operator import add, attrgetter
@@ -60,17 +60,6 @@ def _map_entries(fn, matrix, memo: dict) -> list[list]:
             memo.update({key: fn(x) for key, x in dict(zip(ids, row)).items() if key not in memo})
             rows.append(list(map(memo.__getitem__, ids)))
     return rows
-
-
-def _frozen(cls, **attributes):
-    """An instance of the frozen dataclass cls from attributes that are
-    already canonical and checked: neither __init__ nor __post_init__ runs.
-    Attributes are set one by one, as __init__ sets them, which keeps the
-    instance's compact attribute layout."""
-    instance = object.__new__(cls)
-    for name, value in attributes.items():
-        object.__setattr__(instance, name, value)
-    return instance
 
 
 def _sign(value) -> int:
@@ -166,7 +155,7 @@ class DataSet:
     What is derived from the observations (the sorted subgames here, the
     classification in ``structure``) is computed once and kept as private
     instance attributes beside the fields; equality, hashing, repr and
-    pickling see only ``n`` and ``observations``.
+    pickling see only the fields.
     """
 
     n: int
@@ -183,7 +172,7 @@ class DataSet:
         object.__setattr__(self, "observations", observations)
 
     def __getstate__(self) -> dict:
-        return {"n": self.n, "observations": self.observations}
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def subgames(self) -> tuple[Subgame, ...]:
         """Distinct subgames, in canonical order."""
@@ -230,7 +219,10 @@ def _checked_dataset(triples: Sequence[tuple], n: int) -> DataSet | None:
     keys = sorted(set(zip(choices, map(number.__getitem__, grids))))
     if not all(row in distinct[grid][0] and col in distinct[grid][1] for (row, col), grid in keys):
         return None
-    new, set_field = object.__new__, object.__setattr__  # _frozen, inlined
+    # The checks have passed, so the instances are made without __init__ or
+    # __post_init__. Fields are set one by one in declaration order, as
+    # __init__ sets them, which keeps the compact attribute layout.
+    new, set_field = object.__new__, object.__setattr__
     subgames = []
     for rows, cols in distinct:
         subgame = new(Subgame)
@@ -243,7 +235,11 @@ def _checked_dataset(triples: Sequence[tuple], n: int) -> DataSet | None:
         set_field(obs, "choice", choice)
         set_field(obs, "subgame", subgames[grid])
         observations.append(obs)
-    return _frozen(DataSet, n=n, observations=tuple(observations), _subgames=tuple(subgames))
+    dataset = new(DataSet)
+    set_field(dataset, "n", n)
+    set_field(dataset, "observations", tuple(observations))
+    set_field(dataset, "_subgames", tuple(subgames))
+    return dataset
 
 
 def validate_dataset(

@@ -22,11 +22,12 @@ classification. On the Sylvester uniqueness variant this puts
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
-from .model import DataSet, Observation, StrategyProfile, Subgame, _frozen
+from .model import DataSet, Observation, StrategyProfile, Subgame
 
 _BIT = (1).__lshift__
 
@@ -94,12 +95,16 @@ class _GridIndex:
 class _Classification:
     """What classifying a DataSet computes once: the sorted subgames, their
     bitmask grids, the grid of each observation (as a subgame position),
-    the grid index, and the crossing set and structure report once asked.
+    and, once asked, the grid index, the crossing set and the structure
+    report.
 
-    One instance is kept on the dataset, beside its fields (see ``_classified``).
+    One instance is kept on the dataset, beside its fields (see
+    ``_classified``). It refers back to the dataset weakly, so a dataset
+    and its memo make no reference cycle and are freed together.
     """
 
     def __init__(self, dataset: DataSet) -> None:
+        self._dataset = weakref.ref(dataset)
         self.subgames = subgames = dataset.subgames()
         bits: dict[tuple[int, ...], int] = {}
         for subgame in subgames:
@@ -109,12 +114,18 @@ class _Classification:
         self.masks = [(bits[s.rows], bits[s.cols]) for s in subgames]
         position = {(s.rows, s.cols): p for p, s in enumerate(subgames)}
         self.positions = [position[obs.subgame.rows, obs.subgame.cols] for obs in dataset.observations]
-        self.crossing: tuple[Subgame, ...] | None = None
-        self.report: StructureReport | None = None
 
     @cached_property
     def index(self) -> _GridIndex:
         return _GridIndex(self.subgames, self.masks)
+
+    @cached_property
+    def crossing(self) -> tuple[Subgame, ...]:
+        return crossing_set(self._dataset())
+
+    @cached_property
+    def report(self) -> StructureReport:
+        return _report(self._dataset(), self.crossing)
 
 
 def _classified(dataset: DataSet) -> _Classification:
@@ -158,16 +169,8 @@ def crossing_set(dataset: DataSet) -> tuple[Subgame, ...]:
     return tuple(s for s, crosses in zip(subgames, crossing) if crosses)
 
 
-def _crossing(dataset: DataSet) -> tuple[Subgame, ...]:
-    """The dataset's crossing set, computed once per dataset."""
-    memo = _classified(dataset)
-    if memo.crossing is None:
-        memo.crossing = crossing_set(dataset)
-    return memo.crossing
-
-
 def is_laminar(dataset: DataSet) -> bool:
-    return not _crossing(dataset)
+    return not _classified(dataset).crossing
 
 
 @dataclass(frozen=True)
@@ -238,10 +241,7 @@ def analyze(dataset: DataSet) -> StructureReport:
     The report is computed once per dataset; later calls, and every
     structure helper and route, reuse it.
     """
-    memo = _classified(dataset)
-    if memo.report is None:
-        memo.report = _report(dataset, _crossing(dataset))
-    return memo.report
+    return _classified(dataset).report
 
 
 def _report(dataset: DataSet, crossing: tuple[Subgame, ...]) -> StructureReport:
@@ -362,5 +362,4 @@ def dedupe_nested(dataset: DataSet) -> DataSet:
         )
         if not subsumed:
             kept.append(obs)
-    # A subsequence of canonical observations is canonical.
-    return _frozen(DataSet, n=dataset.n, observations=tuple(kept))
+    return DataSet(dataset.n, tuple(kept))

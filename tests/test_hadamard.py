@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -234,6 +235,36 @@ class TestBlockDifference:
                 assert block_difference_certificate(game, sign) is expected
                 checked[expected] += 1
         assert checked[True] >= 60 and checked[False] >= 60
+
+    def test_pairwise_coprime_large_denominators(self):
+        # Every entry has its own denominator near 10**9, pairwise coprime,
+        # as exact solvers produce: a scale common to the whole game would
+        # be the product of all 2n^2 of them.
+        rng = Random(79)
+        n = 32
+        denominators, product_so_far, candidate = [], 1, 10**9
+        while len(denominators) < 2 * n * n:
+            candidate += 1
+            if math.gcd(candidate, product_so_far) == 1:
+                denominators.append(candidate)
+                product_so_far *= candidate
+        rng.shuffle(denominators)
+        dens = iter(denominators)
+        a, b = (
+            tuple(tuple(Fraction(rng.randint(-5 * 10**9, 5 * 10**9), next(dens)) for _ in range(n)) for _ in range(n))
+            for _ in "ab"
+        )
+        game = BimatrixGame(n, a, b)
+        c = game.total()
+        blocks = range(0, n, 2)
+        reference = sign_pattern(
+            [[c[r][s] - c[r][s + 1] - c[r + 1][s] + c[r + 1][s + 1] for s in blocks] for r in blocks]
+        )
+        assert block_difference_certificate(game, reference)
+        for i, j in ((0, 0), (n // 2 - 1, 3), (7, n // 2 - 1)):
+            flipped = [list(row) for row in reference.entries]
+            flipped[i][j] = -flipped[i][j] if flipped[i][j] else 1
+            assert not block_difference_certificate(game, SignMatrix(tuple(map(tuple, flipped))))
 
     def test_certificate_on_synthesized_game(self):
         ds = two_regular_dataset(H2)

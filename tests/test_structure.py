@@ -1,5 +1,7 @@
 import copy
+import gc
 import pickle
+import weakref
 from random import Random
 
 from hypothesis import given, settings
@@ -263,3 +265,16 @@ class TestClassificationMemo:
                 assert set(vars(copied)) == {"n", "observations"}
                 assert analyze(copied) == report  # classified afresh
             assert dataset_to_text(warmed) == text
+
+    def test_a_classified_dataset_is_freed_without_the_cycle_collector(self):
+        # The memo refers back to its dataset weakly: no reference cycle.
+        ds = uniqueness_variant(two_regular_dataset(sylvester_hadamard(2)))
+        analyze(ds)
+        laminar_forest(ds)
+        freed = weakref.ref(ds)
+        gc.disable()
+        try:
+            del ds
+            assert freed() is None
+        finally:
+            gc.enable()
