@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import chain, repeat
 from typing import Any
 
 from .errors import DocumentError
-from .model import BimatrixGame, DataSet, _map_entries, validate_dataset
+from .model import BimatrixGame, DataSet, _map_once, validate_dataset
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -108,17 +109,22 @@ def dataset_from_text(text: str) -> DataSet:
 
 def _memoize(memo: dict, key, keys: list, name: str, r: int) -> None:
     """Parse the entry of row r under key (see _row_from_document) into
-    memo; a bad one is reported at its first cell in the row's keys."""
+    memo; a bad one is reported at its first cell in the row's keys. An
+    integer string goes through int, not Fraction's own string parser."""
     value = key if type(key) is str else key[1]
     try:
-        if isinstance(value, str) and not _RATIONAL.fullmatch(value):
-            raise ValueError(f"Invalid literal for Fraction: {value!r}")
+        if isinstance(value, str):
+            match = _RATIONAL.fullmatch(value)
+            if not match:
+                raise ValueError(f"Invalid literal for Fraction: {value!r}")
+            if not match[1]:
+                value = int(value)
         memo[key] = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"{name}[{r + 1},{keys.index(key) + 1}] is not a valid rational: {exc}") from None
 
 
-def _row_from_document(row: list, memo: dict, name: str, r: int) -> tuple[Fraction, ...]:
+def _row_from_document(row: list, memo: dict, row_memo: dict, name: str, r: int) -> tuple[Fraction, ...]:
     """Parse row r (0-based) of matrix name.
 
     Entries are memoized under the string itself, or (type, value) for any
@@ -126,28 +132,43 @@ def _row_from_document(row: list, memo: dict, name: str, r: int) -> tuple[Fracti
     of a document is parsed once. The row's new entries are parsed in row
     order, so the first bad cell is the one reported. A row of plain
     integers and strings is walked once per distinct entry (a row of
-    strings, as canonical documents hold, is its own list of keys); any
-    other type sends it cell by cell through the type check.
+    strings, as canonical documents hold, is its own list of keys), and
+    its parsed tuple is kept in row_memo under tuple(row), so a row
+    repeated in the document is parsed once and shared. Only such a row is
+    keyed there, after the type check, since tuple equality takes true for
+    1. Any other type sends the row cell by cell through the type check.
     """
     types = set(map(type, row))
-    keys = row if types == {str} else [x if type(x) is str else (type(x), x) for x in row]
     if types <= {int, str}:
-        for key in dict.fromkeys(keys):
-            if key not in memo:
-                _memoize(memo, key, keys, name, r)
-    else:
-        for c, value in enumerate(row):
-            if isinstance(value, bool) or not isinstance(value, (int, str)):
-                raise DocumentError(f"{name}[{r + 1},{c + 1}] must be an integer or a 'p/q' string")
-            if keys[c] not in memo:
-                _memoize(memo, keys[c], keys, name, r)
+        line = tuple(row)
+        parsed = row_memo.get(line)
+        if parsed is None:
+            keys = row if types == {str} else [x if type(x) is str else (type(x), x) for x in row]
+            for key in dict.fromkeys(keys):
+                if key not in memo:
+                    _memoize(memo, key, keys, name, r)
+            parsed = row_memo[line] = tuple(map(memo.__getitem__, keys))
+        return parsed
+    keys = [x if type(x) is str else (type(x), x) for x in row]
+    for c, value in enumerate(row):
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise DocumentError(f"{name}[{r + 1},{c + 1}] must be an integer or a 'p/q' string")
+        if keys[c] not in memo:
+            _memoize(memo, keys[c], keys, name, r)
     return tuple(map(memo.__getitem__, keys))
 
 
 def game_to_document(game: BimatrixGame) -> dict:
-    """Each distinct entry object is rendered once."""
+    """Each distinct row object and each distinct entry object is rendered
+    once; every row of the document is its own list."""
     texts: dict = {}
-    return {"n": game.n, "A": _map_entries(str, game.a, texts), "B": _map_entries(str, game.b, texts)}
+    rows: dict = {}
+    row_texts = partial(_map_once, str, memo=texts)
+    return {
+        "n": game.n,
+        "A": list(map(list.copy, _map_once(row_texts, game.a, rows))),
+        "B": list(map(list.copy, _map_once(row_texts, game.b, rows))),
+    }
 
 
 def game_from_document(document: Any) -> BimatrixGame:
@@ -156,6 +177,7 @@ def game_from_document(document: Any) -> BimatrixGame:
     _expect(isinstance(n, int) and not isinstance(n, bool), "field 'n' must be an integer")
     matrices = {}
     memo: dict = {}
+    row_memo: dict = {}
     for name in ("A", "B"):
         rows = document.get(name)
         _expect(isinstance(rows, list) and len(rows) == n, f"field '{name}' must be a list of {n} rows")
@@ -163,7 +185,7 @@ def game_from_document(document: Any) -> BimatrixGame:
         for r, row in enumerate(rows):
             _expect(isinstance(row, list) and len(row) == n,
                     f"field '{name}' row {r} must be a list of {n} entries")
-            parsed.append(_row_from_document(row, memo, name, r))
+            parsed.append(_row_from_document(row, memo, row_memo, name, r))
         matrices[name] = tuple(parsed)
     return BimatrixGame(n, matrices["A"], matrices["B"])
 

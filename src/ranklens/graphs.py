@@ -208,21 +208,29 @@ def _payoffs(n: int, levels: dict[int, int]) -> BimatrixGame:
     prices only A and a C copy only B, so A + B can be nonzero only on
     split rows and columns, bounding its rank by the span: the smaller of
     the split profiles' row count and column count. A vertex no edge
-    touches sits at level 1, so every cell starts at A = 1, B = -1 and only
-    the touched vertices are priced; each level becomes one Fraction,
-    shared by its cells.
+    touches sits at level 1, so every cell starts at level 1 and only the
+    touched vertices are priced. Each distinct row of payoffs becomes one
+    tuple, shared by the rows that repeat it (every untouched row is all
+    level 1), and each payoff one Fraction, shared by its cells.
     """
-    prices = {1: (Fraction(1), Fraction(-1))}
-    a = [prices[1][0]] * (n * n)
-    b = [prices[1][1]] * (n * n)
+    a = [1] * (n * n)
+    b = [-1] * (n * n)
     for vid, level in levels.items():
-        price = prices.get(level)
-        if price is None:
-            price = prices[level] = (Fraction(level), Fraction(-level))
         cell, tag = divmod(vid, 3)
         if tag != 2:
-            a[cell] = price[0]
+            a[cell] = level
         if tag != 1:
-            b[cell] = price[1]
-    starts = range(0, n * n, n)
-    return BimatrixGame(n, tuple(tuple(a[k:k + n]) for k in starts), tuple(tuple(b[k:k + n]) for k in starts))
+            b[cell] = -level
+    prices = {x: Fraction(x) for level in {1, *levels.values()} for x in (level, -level)}
+    rows: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    matrices = []
+    for payoffs in (a, b):
+        matrix = []
+        for k in range(0, n * n, n):
+            key = tuple(payoffs[k:k + n])
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = tuple(map(prices.__getitem__, key))
+            matrix.append(row)
+        matrices.append(tuple(matrix))
+    return BimatrixGame(n, *matrices)

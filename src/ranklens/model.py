@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
-from operator import add, attrgetter
+from operator import add
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -34,32 +34,35 @@ def _to_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def _fraction_row(row) -> tuple[Fraction, ...]:
+    """The row as a tuple of Fractions; a row that already is one is kept
+    as it is."""
+    return row if type(row) is tuple and set(map(type, row)) == {Fraction} else tuple(map(_to_fraction, row))
+
+
 def _fraction_rows(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """The matrix as tuples of Fractions. A row that already is a tuple of
-    Fractions is kept as it is; only the other rows are converted."""
-    return tuple(
-        row if type(row) is tuple and set(map(type, row)) == {Fraction} else tuple(map(_to_fraction, row))
-        for row in matrix
-    )
+    """The matrix as tuples of Fractions, each distinct row object
+    converted once, so rows shared on the way in stay shared."""
+    rows = tuple(matrix)
+    return tuple(_map_once(_fraction_row, rows, {}))
 
 
-def _map_entries(fn, matrix, memo: dict) -> list[list]:
-    """fn of every entry of the matrix, as a list per row, with fn called
-    once per distinct entry object: memo maps id() to the result.
+def _map_once(fn, items, memo: dict) -> list:
+    """fn of every item of a sequence, as a list, with fn called once per
+    distinct item object: memo maps id() to the result. The caller keeps
+    the items alive while memo is in use, so no id is reused.
 
-    Games share one object per value where they can (levels, the game
-    document memo), so that is once per distinct value, and a row whose
-    entries memo already knows is mapped without a Python-level loop.
+    Games share one object per row and per value where they can (synthesis
+    and the game document memo share both), so that is once per distinct
+    row or value, and items that memo already knows are mapped without a
+    Python-level loop.
     """
-    rows = []
-    for row in matrix:
-        ids = list(map(id, row))
-        try:
-            rows.append(list(map(memo.__getitem__, ids)))
-        except KeyError:
-            memo.update({key: fn(x) for key, x in dict(zip(ids, row)).items() if key not in memo})
-            rows.append(list(map(memo.__getitem__, ids)))
-    return rows
+    ids = list(map(id, items))
+    try:
+        return list(map(memo.__getitem__, ids))
+    except KeyError:
+        memo.update({key: fn(x) for key, x in dict(zip(ids, items)).items() if key not in memo})
+        return list(map(memo.__getitem__, ids))
 
 
 def _sign(value) -> int:
@@ -379,7 +382,9 @@ def rationalizes(game: BimatrixGame, dataset: DataSet) -> VerificationReport:
         deviations += [("B", game.b, i, j2) for j2 in subgame.cols if j2 != j]
         for name, matrix, r, c in deviations:
             own, other = matrix[i - 1][j - 1], matrix[r - 1][c - 1]
-            if own <= other:
+            # Integer payoffs, the only kind synthesis makes, compare by
+            # numerator, which skips Fraction's generic comparison.
+            if (own.numerator <= other.numerator if own.denominator == 1 == other.denominator else own <= other):
                 failures.append(ObservationFailure(obs, f"{name}[{i},{j}]={own} <= {name}[{r},{c}]={other}"))
                 break
     return VerificationReport(ok=not failures, failures=tuple(failures))
@@ -434,25 +439,78 @@ def _bareiss_rank(m: list[list[int]]) -> int:
     return rank
 
 
+# The prime of game_rank's modular lower bound: large, so that a nonzero
+# minor of a game's integer rows is rarely a multiple of it and the Bareiss
+# fallback rarely runs.
+_PRIME = 2**61 - 1
+
+
 def game_rank(game: BimatrixGame) -> int:
     """Rank of A + B over the rationals; zero iff the game is zero-sum.
 
-    Each row of A + B is scaled to integers straight from the entries'
-    numerators and denominators (by the lcm of the row's denominators in
-    A and B), so no Fraction is built. Numerators and denominators are
-    read once per distinct entry object; a row whose scale is 1 is the
-    sum of its numerators.
+    Exact in four steps, each of which keeps the rank:
+
+    1. A + B is formed once per distinct pair of row objects (a repeated
+       row of A + B adds nothing to the rank), each row scaled to
+       integers straight from its entries' numerators and denominators
+       (by the lcm of the row's denominators), which are read once per
+       distinct entry object.
+    2. Zero rows and zero columns are dropped; an empty support has rank 0.
+       The rank is at most min(#rows, #cols) of the support.
+    3. Rank 1 is decided exactly: every row is proportional to the first,
+       by integer cross-multiplication. Otherwise the rank is at least 2,
+       which is the rank when the support has a side of 2.
+    4. Elimination mod a prime gives a lower bound, since a minor that is
+       nonzero mod p is nonzero over the integers. When the bound reaches
+       the support's min(#rows, #cols), it is the rank; otherwise Bareiss
+       elimination of the support decides.
     """
     memo: dict = {}
-    ratio = attrgetter("numerator", "denominator")
+    ratio = Fraction.as_integer_ratio
     total = []
-    for row_a, row_b in zip(_map_entries(ratio, game.a, memo), _map_entries(ratio, game.b, memo)):
-        (nums_a, dens_a), (nums_b, dens_b) = zip(*row_a), zip(*row_b)
+    for row_a, row_b in {(id(a), id(b)): (a, b) for a, b in zip(game.a, game.b)}.values():
+        (nums_a, dens_a), (nums_b, dens_b) = zip(*_map_once(ratio, row_a, memo)), zip(*_map_once(ratio, row_b, memo))
         scale = math.lcm(*dens_a, *dens_b)
         if scale == 1:
-            total.append(list(map(add, nums_a, nums_b)))
+            row = list(map(add, nums_a, nums_b))
         else:
-            total.append([
-                x * (scale // dx) + y * (scale // dy) for x, dx, y, dy in zip(nums_a, dens_a, nums_b, dens_b)
-            ])
-    return _bareiss_rank(total)
+            row = [x * (scale // dx) + y * (scale // dy) for x, dx, y, dy in zip(nums_a, dens_a, nums_b, dens_b)]
+        if any(row):
+            total.append(row)
+    if not total:
+        return 0
+    support = [list(row) for row in zip(*(col for col in zip(*total) if any(col)))]
+    first = support[0]
+    pivot_col = next(c for c, x in enumerate(first) if x)
+    pivot = first[pivot_col]
+    if all([x * pivot for x in row] == [row[pivot_col] * y for y in first] for row in support):
+        return 1
+    bound = min(len(support), len(first))
+    if bound == 2 or _modular_rank(support, bound) == bound:
+        return bound
+    return _bareiss_rank(support)
+
+
+def _modular_rank(m: list[list[int]], limit: int) -> int:
+    """Rank mod _PRIME of an integer matrix, by Gaussian elimination that
+    stops once the rank reaches limit. The matrix is left as it is.
+
+    The rows are kept from the current column on: each step drops that
+    column, and the pivot row with it when the column has one.
+    """
+    rows = [[x % _PRIME for x in row] for row in m]
+    rank = 0
+    while rank < limit and rows and rows[0]:
+        pivot = next((row for row in rows if row[0]), None)
+        if pivot is None:
+            rows = [row[1:] for row in rows]
+            continue
+        inverse = pow(pivot[0], -1, _PRIME)
+        tail = [x * inverse % _PRIME for x in pivot[1:]]
+        rows = [
+            [(x - row[0] * y) % _PRIME for x, y in zip(row[1:], tail)] if row[0] else row[1:]
+            for row in rows
+            if row is not pivot
+        ]
+        rank += 1
+    return rank

@@ -1,4 +1,5 @@
 import json
+import pickle
 import sys
 from fractions import Fraction
 from random import Random
@@ -15,6 +16,7 @@ from ranklens import (
     dataset_from_text,
     dataset_to_text,
     game_from_text,
+    game_rank,
     game_to_text,
     parse_json,
     validate_dataset,
@@ -149,10 +151,21 @@ class TestGameDocuments:
              "A[1,2] is not a valid rational: Fraction(1, 0)"),
             ('{"A":[["2","x"],["1/0","x"]],"B":[[0,0],[0,0]],"n":2}',
              "A[1,2] is not a valid rational: Invalid literal for Fraction: 'x'"),
+            # Repeated rows: a bad row fails at its first occurrence, and rows
+            # equal in Python but not in type are not served from the row memo.
+            ('{"A":[["1","x"],["1","x"]],"B":[[0,0],[0,0]],"n":2}',
+             "A[1,2] is not a valid rational: Invalid literal for Fraction: 'x'"),
+            ('{"A":[["1","2","3"],["1","2","3"],["1","2","3"]],"B":[[0,0,0],["5","x","5"],["5","x","5"]],"n":3}',
+             "B[2,2] is not a valid rational: Invalid literal for Fraction: 'x'"),
+            ('{"A":[[2,"1/0"],[0,0]],"B":[[2,"1/0"],[0,0]],"n":2}',
+             "A[1,2] is not a valid rational: Fraction(1, 0)"),
+            ('{"A":[[1,1],["1",1]],"B":[[1,1],[true,1]],"n":2}',
+             "B[2,1] must be an integer or a 'p/q' string"),
         ],
     )
     def test_first_bad_cell_is_reported(self, text, message):
-        # Entries are parsed once per distinct (type, value): true, 1 and "1"
+        # Entries are parsed once per distinct (type, value) and rows once
+        # per distinct row of plain integers and strings: true, 1 and "1"
         # stay apart, and a repeated bad entry fails at its first cell.
         with pytest.raises(DocumentError) as raised:
             game_from_text(text)
@@ -208,6 +221,23 @@ class TestGameDocuments:
         game = game_from_text('{"A":[[1,"1"],["1/1",1]],"B":[["-1",-1],[-1,"-2/2"]],"n":2}')
         assert game.a == ((Fraction(1),) * 2,) * 2
         assert game.b == ((Fraction(-1),) * 2,) * 2
+
+    def test_repeated_rows_are_shared_but_read_as_separate_rows(self):
+        # A row repeated in a document is parsed once and shared, in A and B
+        # alike; the game reads, hashes, prints and pickles like one whose
+        # every row and cell is an object of its own.
+        rows = [["1", "-2/4", "3", 0], [1, 1, 1, 1], ["1", "-2/4", "3", 0], ["1", 1, 1, 1]]
+        text = json.dumps({"A": rows, "B": rows[::-1], "n": 4})
+        game = game_from_text(text)
+        assert game.a[0] is game.a[2] is game.b[1] is game.b[3] and game.a[1] is game.b[2]
+        assert game.a[1] is not game.a[3]  # equal values, but "1" is not 1
+        fresh = BimatrixGame(4, *(
+            tuple(tuple(Fraction(x) for x in row) for row in m) for m in (rows, rows[::-1])
+        ))
+        for other in (game, pickle.loads(pickle.dumps(game))):
+            assert other == fresh and hash(other) == hash(fresh)
+            assert game_to_text(other) == game_to_text(fresh)
+            assert game_rank(other) == game_rank(fresh)
 
 
 class TestParseJson:

@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -16,7 +17,9 @@ from ranklens import (
     analyze,
     crossing_span,
     dedupe_nested,
+    game_from_text,
     game_rank,
+    game_to_text,
     is_rationalizable,
     rationalize_auto,
     rationalize_bounded_rank,
@@ -402,3 +405,42 @@ class TestRoutesOnIds:
                 outcomes[outcome[0] == "NotRationalizable"] += 1
         # Positive and negative outcomes both took the route path.
         assert outcomes[True] > 100 and outcomes[False] > 1000
+
+
+class TestSharedRows:
+    """_payoffs builds each distinct row of payoffs once and shares it, and
+    the game document parser shares repeated rows; nothing else a caller
+    can see tells a shared row from rows that are objects of their own."""
+
+    def test_one_row_object_per_distinct_row(self):
+        games = 0
+        for ds in reference_corpus():
+            for route in (rationalize_zero_sum, rationalize_bounded_rank, rationalize_general):
+                try:
+                    game = route(ds).game
+                except RanklensError:
+                    continue
+                rows = game.a + game.b
+                assert len(set(map(id, rows))) == len(set(rows))
+                games += 1
+        assert games > 1000
+
+    def test_shared_rows_read_like_separate_rows(self):
+        games = 0
+        for ds in reference_corpus():
+            try:
+                cert = rationalize_auto(ds)
+            except RanklensError:
+                continue
+            text = game_to_text(cert.game)
+            for game in (cert.game, game_from_text(text)):
+                fresh = BimatrixGame(game.n, *(
+                    [[Fraction(x.numerator, x.denominator) for x in row] for row in matrix]
+                    for matrix in (game.a, game.b)
+                ))
+                for other in (game, pickle.loads(pickle.dumps(game))):
+                    assert other == fresh and hash(other) == hash(fresh)
+                    assert game_to_text(other) == text
+                    assert game_rank(other) == game_rank(fresh) == cert.rank
+            games += 1
+        assert games > 700

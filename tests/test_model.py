@@ -26,6 +26,8 @@ from ranklens import (
     strict_equilibria,
     validate_dataset,
 )
+from ranklens import model
+
 from .generators import minor_rank, random_fraction_matrix, reference_corpus
 
 
@@ -223,6 +225,71 @@ class TestRank:
             assert separate == shared
             assert game_rank(shared) == game_rank(separate) == rational_matrix_rank(shared.total())
             assert game_to_text(shared) == game_to_text(separate)
+
+    def test_game_rank_matches_bareiss_reference(self, monkeypatch):
+        # game_rank answers from the support of A + B, an exact rank-1 test
+        # and a lower bound mod 2**61 - 1. It must agree with
+        # rational_matrix_rank, the plain Bareiss reference, and run Bareiss
+        # only when the bound falls short of the support's smaller side and
+        # that side is over 2 (a failed rank-1 test already shows rank 2).
+        # A repeated pair of row objects counts once, and the entries are
+        # small, so a minor that is nonzero is nonzero mod the prime unless
+        # its rows are multiples of it.
+        calls = []
+        bareiss = model._bareiss_rank
+        monkeypatch.setattr(model, "_bareiss_rank", lambda m: calls.append(1) or bareiss(m))
+        prime = 2**61 - 1
+        rng = Random(19)
+        for case in range(600):
+            kind = case % 6
+            size = rng.randint(1, 6)
+            if kind == 5:
+                scale = [rng.choice((prime, -2 * prime, 1, 3)) for _ in range(size)]
+                total = [[scale[i] * rng.randint(-3, 3) for _ in range(size)] for i in range(size)]
+            elif kind == 4:
+                # rank 1 with negative and zero scale factors, one row off line
+                line = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4)) for _ in range(size)]
+                total = [[rng.randint(-3, 3) * x for x in line] for _ in range(size)]
+                if rng.random() < 0.5:
+                    total[rng.randrange(size)][rng.randrange(size)] += 1
+            else:
+                # a sum of outer products with nonzero factors: full support
+                terms = [
+                    [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)) for _ in range(size)]
+                     for _ in range(2)]
+                    for _ in range(rng.randint(1, size))
+                ]
+                total = [[sum(u[i] * v[j] for u, v in terms) for j in range(size)] for i in range(size)]
+            if kind in (1, 3):
+                for _ in range(rng.randint(1, size)):
+                    zero = rng.randrange(size)
+                    if rng.random() < 0.5:
+                        total[zero] = [0] * size
+                    else:
+                        for row in total:
+                            row[zero] = 0
+            a = [tuple(row) for row in random_fraction_matrix(rng, size)]
+            b = [tuple(Fraction(x) - y for x, y in zip(row, row_a)) for row, row_a in zip(total, a)]
+            if kind in (2, 3):
+                # repeated row objects: a pair of rows, or an A row alone
+                for _ in range(rng.randint(1, size)):
+                    i, k = rng.randrange(size), rng.randrange(size)
+                    a[i] = a[k]
+                    if rng.random() < 0.7:
+                        b[i], total[i] = b[k], total[k]
+                    else:
+                        total[i] = list(total[i])
+                        b[i] = tuple(Fraction(x) - y for x, y in zip(total[i], a[i]))
+            game = BimatrixGame(size, tuple(a), tuple(b))
+            assert [list(map(Fraction, row)) for row in total] == [list(row) for row in game.total()]
+            expected = rational_matrix_rank(total)
+            calls.clear()
+            assert game_rank(game) == expected, total
+            ran_bareiss = bool(calls)
+            rows = [row for row in {id(row): row for row in total}.values() if any(row)]
+            side = min(len(rows), sum(map(any, zip(*rows)))) if rows else 0
+            modular = rational_matrix_rank([row for row in rows if any(x % prime for x in row)])
+            assert ran_bareiss == (expected > 1 and modular < side > 2), total
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
