@@ -57,7 +57,6 @@ from .model import (
     game_rank,
     rational_matrix_rank,
     rationalizes,
-    sign_pattern,
     strict_equilibria,
     validate_dataset,
 )

@@ -107,55 +107,48 @@ def dataset_from_text(text: str) -> DataSet:
     return dataset_from_document(parse_json(text))
 
 
-def _memoize(memo: dict, key, keys: list, name: str, r: int) -> None:
-    """Parse the entry of row r under key (see _row_from_document) into
-    memo; a bad one is reported at its first cell in the row's keys. An
+def _memoize(memo: dict, entries, row: list, name: str, r: int) -> None:
+    """Parse each new entry of entries, in order, into memo; a bad one is
+    reported at its first cell in row r (0-based) of matrix name. An
     integer string goes through int, not Fraction's own string parser."""
-    value = key if type(key) is str else key[1]
-    try:
-        if isinstance(value, str):
-            match = _RATIONAL.fullmatch(value)
-            if not match:
-                raise ValueError(f"Invalid literal for Fraction: {value!r}")
-            if not match[1]:
-                value = int(value)
-        memo[key] = Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"{name}[{r + 1},{keys.index(key) + 1}] is not a valid rational: {exc}") from None
+    for entry in dict.fromkeys(entries):
+        if entry in memo:
+            continue
+        value = entry
+        try:
+            if isinstance(value, str):
+                match = _RATIONAL.fullmatch(value)
+                if not match:
+                    raise ValueError(f"Invalid literal for Fraction: {value!r}")
+                if not match[1]:
+                    value = int(value)
+            memo[entry] = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(f"{name}[{r + 1},{row.index(entry) + 1}] is not a valid rational: {exc}") from None
 
 
 def _row_from_document(row: list, memo: dict, row_memo: dict, name: str, r: int) -> tuple[Fraction, ...]:
     """Parse row r (0-based) of matrix name.
 
-    Entries are memoized under the string itself, or (type, value) for any
-    other type, so that true, 1 and "1" stay apart and each distinct entry
-    of a document is parsed once. The row's new entries are parsed in row
-    order, so the first bad cell is the one reported. A row of plain
-    integers and strings is walked once per distinct entry (a row of
-    strings, as canonical documents hold, is its own list of keys), and
-    its parsed tuple is kept in row_memo under tuple(row), so a row
-    repeated in the document is parsed once and shared. Only such a row is
-    keyed there, after the type check, since tuple equality takes true for
-    1. Any other type sends the row cell by cell through the type check.
+    The row's types are checked first. At a cell that is not an integer or
+    a string, the new entries before it are parsed, so an earlier bad
+    rational is still the one reported, and then the cell is. Otherwise
+    each distinct entry of the document is parsed once, memoized under
+    itself (1 and "1" stay apart; true never gets here), and the row's
+    tuple is kept in row_memo under tuple(row), so a row repeated in the
+    document is parsed once and shared.
     """
-    types = set(map(type, row))
-    if types <= {int, str}:
-        line = tuple(row)
-        parsed = row_memo.get(line)
-        if parsed is None:
-            keys = row if types == {str} else [x if type(x) is str else (type(x), x) for x in row]
-            for key in dict.fromkeys(keys):
-                if key not in memo:
-                    _memoize(memo, key, keys, name, r)
-            parsed = row_memo[line] = tuple(map(memo.__getitem__, keys))
-        return parsed
-    keys = [x if type(x) is str else (type(x), x) for x in row]
-    for c, value in enumerate(row):
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise DocumentError(f"{name}[{r + 1},{c + 1}] must be an integer or a 'p/q' string")
-        if keys[c] not in memo:
-            _memoize(memo, keys[c], keys, name, r)
-    return tuple(map(memo.__getitem__, keys))
+    if not set(map(type, row)) <= {int, str}:
+        bad = next((c for c, x in enumerate(row) if isinstance(x, bool) or not isinstance(x, (int, str))), None)
+        if bad is not None:
+            _memoize(memo, row[:bad], row, name, r)
+            raise DocumentError(f"{name}[{r + 1},{bad + 1}] must be an integer or a 'p/q' string")
+    line = tuple(row)
+    parsed = row_memo.get(line)
+    if parsed is None:
+        _memoize(memo, row, row, name, r)
+        parsed = row_memo[line] = tuple(map(memo.__getitem__, row))
+    return parsed
 
 
 def game_to_document(game: BimatrixGame) -> dict:

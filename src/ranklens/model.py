@@ -334,14 +334,6 @@ class SignMatrix:
     def order(self) -> int:
         return len(self.entries)
 
-    def transpose(self) -> "SignMatrix":
-        return SignMatrix(tuple(zip(*self.entries))) if self.entries else self
-
-
-def sign_pattern(rows: Sequence[Sequence[RationalLike]]) -> SignMatrix:
-    """Entrywise sign of a square rational matrix."""
-    return SignMatrix(tuple(tuple(_sign(_to_fraction(x)) for x in row) for row in rows))
-
 
 def strict_equilibria(game: BimatrixGame, subgame: Subgame) -> frozenset[StrategyProfile]:
     """All strict pure equilibria of the subgame: the profiles that

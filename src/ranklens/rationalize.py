@@ -197,10 +197,7 @@ def rationalize_zero_sum(dataset: DataSet) -> RationalizationCertificate:
     prices it by levels; the observed choice is then the unique strict
     equilibrium of every observed subgame.
     """
-    return _zero_sum(dataset, analyze(dataset))
-
-
-def _zero_sum(dataset: DataSet, report: StructureReport) -> RationalizationCertificate:
+    report = analyze(dataset)
     if not report.laminar:
         raise NotLaminar("dataset has crossing subgames")
     _require_uniqueness(report)
@@ -219,10 +216,7 @@ def _split_cycle_witness(n: int, cycle: tuple[int, ...]) -> CycleWitness:
 def rationalize_bounded_rank(dataset: DataSet) -> RationalizationCertificate:
     """Rationalization of a uniqueness dataset with rank at most the
     crossing span: the split graph splits exactly the crossing choices."""
-    return _bounded_rank(dataset, analyze(dataset))
-
-
-def _bounded_rank(dataset: DataSet, report: StructureReport) -> RationalizationCertificate:
+    report = analyze(dataset)
     _require_uniqueness(report)
     n = dataset.n
     rows, cols = _edge_ids(n, dataset.observations, _cells(n, report.crossing_choices))
@@ -267,7 +261,7 @@ def rationalize_auto(dataset: DataSet) -> RationalizationCertificate:
         return rationalize_rank_one(dataset)
     report = analyze(dataset)
     if report.uniqueness and report.laminar:
-        return _zero_sum(dataset, report)
+        return rationalize_zero_sum(dataset)
     if report.uniqueness:
-        return _bounded_rank(dataset, report)
+        return rationalize_bounded_rank(dataset)
     return rationalize_general(dataset)

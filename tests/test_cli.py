@@ -19,6 +19,12 @@ SPLIT_CYCLE = (
     '{"choice":[1,3],"cols":[3],"rows":[1,2]},{"choice":[2,1],"cols":[1,2,3],"rows":[1,2,3]},'
     '{"choice":[3,1],"cols":[1,3],"rows":[3]}]}\n'
 )
+# Uniqueness fails on two nested pairs: the full grid's choice lies in both
+# inner grids, and neither inner observation picked it.
+NESTED_VIOLATION = (
+    '{"n":3,"observations":[{"choice":[3,3],"cols":[1,3],"rows":[1,3]},{"choice":[2,2],"cols":[1,2],"rows":[1,2]},'
+    '{"choice":[1,1],"cols":[1,2,3],"rows":[1,2,3]}]}\n'
+)
 
 
 @pytest.fixture
@@ -163,6 +169,18 @@ class TestRationalize:
         assert main(["rationalize", path, "--method", "zerosum"]) == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "UniquenessViolated"
+
+    def test_uniqueness_violation_names_the_least_pair(self, write, capsys):
+        # Two nested pairs violate; the observation-order least one is named.
+        path = write("ds.json", NESTED_VIOLATION)
+        assert main(["rationalize", path, "--method", "bounded"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            '{"error": "UniquenessViolated", "message": "uniqueness fails for pair '
+            "(Observation(choice=StrategyProfile(row=1, col=1), subgame=Subgame(rows=(1, 2, 3), cols=(1, 2, 3))), "
+            'Observation(choice=StrategyProfile(row=2, col=2), subgame=Subgame(rows=(1, 2), cols=(1, 2))))"}\n'
+        )
 
     def test_bounded_on_strips(self, write, capsys):
         path = write("ds.json", STRIPS)

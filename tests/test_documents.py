@@ -15,6 +15,7 @@ from ranklens import (
     canonical_json,
     dataset_from_text,
     dataset_to_text,
+    game_from_document,
     game_from_text,
     game_rank,
     game_to_text,
@@ -221,6 +222,18 @@ class TestGameDocuments:
         game = game_from_text('{"A":[[1,"1"],["1/1",1]],"B":[["-1",-1],[-1,"-2/2"]],"n":2}')
         assert game.a == ((Fraction(1),) * 2,) * 2
         assert game.b == ((Fraction(-1),) * 2,) * 2
+
+    def test_int_subclass_entries_read_as_integers(self):
+        # A document built in Python may hold int subclasses; any but bool
+        # reads as its integer value, beside plain ints and strings.
+        class Payoff(int):
+            pass
+
+        game = game_from_document({"A": [[Payoff(2), "1"], [1, Payoff(1)]], "B": [[0, 0], [0, 0]], "n": 2})
+        assert game.a == ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
+        with pytest.raises(DocumentError) as raised:
+            game_from_document({"A": [[Payoff(2), True], [0, 0]], "B": [[0, 0], [0, 0]], "n": 2})
+        assert str(raised.value) == "A[1,2] must be an integer or a 'p/q' string"
 
     def test_repeated_rows_are_shared_but_read_as_separate_rows(self):
         # A row repeated in a document is parsed once and shared, in A and B

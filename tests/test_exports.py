@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
     "two_regular_sign_pattern", "uniqueness_variant",
     # model
     "BimatrixGame", "DataSet", "Observation", "SignMatrix", "StrategyProfile", "Subgame", "VerificationReport",
-    "full_subgame", "game_rank", "rational_matrix_rank", "rationalizes", "sign_pattern", "strict_equilibria",
+    "full_subgame", "game_rank", "rational_matrix_rank", "rationalizes", "strict_equilibria",
     "validate_dataset",
     # oracle
     "SearchConfig", "brute_force_min_rank", "zero_sum_feasible",
@@ -35,5 +35,5 @@ def test_public_names_are_the_documented_surface():
         name for name, value in vars(ranklens).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 73
+    assert len(PUBLIC_NAMES) == 72
     assert exported == PUBLIC_NAMES

@@ -21,7 +21,6 @@ from ranklens import (
     rationalize_bounded_rank,
     rationalize_general,
     satisfies_uniqueness,
-    sign_pattern,
     sylvester_hadamard,
     two_regular_dataset,
     two_regular_sign_pattern,
@@ -32,6 +31,11 @@ from ranklens.graphs import _edge_ids
 from .generators import random_fraction_matrix, rank_one_sign_realizable
 
 H2 = SignMatrix(((1, 1), (1, -1)))
+
+
+def sign_of(rows):
+    """The entrywise signs of a square rational matrix."""
+    return SignMatrix(tuple(tuple((x > 0) - (x < 0) for x in row) for row in rows))
 
 
 def random_sign(rng, m):
@@ -201,7 +205,7 @@ class TestBlockDifference:
                     assert left[i][j] == c[r][s] - c[r][s + 1] - c[r + 1][s] + c[r + 1][s + 1]
             zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
             game = BimatrixGame(n, tuple(map(tuple, c)), zero)
-            pattern = sign_pattern(left)
+            pattern = sign_of(left)
             assert block_difference_certificate(game, pattern)
             flipped = [list(row) for row in pattern.entries]
             flipped[0][0] = -flipped[0][0] if flipped[0][0] else 1
@@ -223,7 +227,7 @@ class TestBlockDifference:
             game = BimatrixGame(n, a, b)
             c = game.total()
             blocks = range(0, n, 2)
-            reference = sign_pattern(
+            reference = sign_of(
                 [[c[r][s] - c[r][s + 1] - c[r + 1][s] + c[r + 1][s + 1] for s in blocks] for r in blocks]
             )
             random_sign = SignMatrix(tuple(tuple(rng.choice((-1, 0, 1)) for _ in blocks) for _ in blocks))
@@ -257,7 +261,7 @@ class TestBlockDifference:
         game = BimatrixGame(n, a, b)
         c = game.total()
         blocks = range(0, n, 2)
-        reference = sign_pattern(
+        reference = sign_of(
             [[c[r][s] - c[r][s + 1] - c[r + 1][s] + c[r + 1][s + 1] for s in blocks] for r in blocks]
         )
         assert block_difference_certificate(game, reference)

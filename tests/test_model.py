@@ -22,7 +22,6 @@ from ranklens import (
     game_to_text,
     rational_matrix_rank,
     rationalizes,
-    sign_pattern,
     strict_equilibria,
     validate_dataset,
 )
@@ -294,26 +293,6 @@ class TestRank:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             BimatrixGame.from_rows([[0.5]], [[1]])
-
-
-class TestSignPattern:
-    def test_basic(self):
-        assert sign_pattern([[3, 0], [-2, 1]]).entries == ((1, 0), (-1, 1))
-
-    @given(st.integers(1, 4), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_idempotent_and_transpose(self, n, data):
-        rows = data.draw(
-            st.lists(
-                st.lists(st.integers(-5, 5), min_size=n, max_size=n),
-                min_size=n,
-                max_size=n,
-            )
-        )
-        pattern = sign_pattern(rows)
-        assert sign_pattern(pattern.entries) == pattern
-        transposed = [list(col) for col in zip(*rows)]
-        assert sign_pattern(transposed) == pattern.transpose()
 
 
 def per_object_dataset(triples, n):
