@@ -6,13 +6,11 @@ Hadamard-patterned adversarial instances."""
 from .errors import (
     BudgetExceeded,
     ChoiceOutsideSubgame,
-    CyclicGraph,
     DataError,
     DocumentError,
     EmptySubgame,
     IndexOutOfRange,
     InvalidSize,
-    NotDeduped,
     NotLaminar,
     NotPowerOfTwo,
     NotRationalizable,

@@ -52,18 +52,6 @@ class UniquenessViolated(PreconditionError):
     pass
 
 
-class NotDeduped(PreconditionError):
-    pass
-
-
-class CyclicGraph(PreconditionError):
-    """A graph the level sweep cannot order; carries its witness cycle."""
-
-    def __init__(self, message: str, cycle=None):
-        super().__init__(message)
-        self.cycle = cycle
-
-
 class SubgameNotFull(PreconditionError):
     pass
 

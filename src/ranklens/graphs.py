@@ -19,9 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Collection, Iterable
 
-from .errors import CyclicGraph, NotDeduped
-from .model import BimatrixGame, DataSet, Observation, StrategyProfile
-from .structure import laminar_forest
+from .model import BimatrixGame, DataSet, Observation
+from .structure import _classified, laminar_forest
 
 # Vertex id ((row-1)*n + (col-1))*3 + t, with t = 0 for an intact vertex,
 # 1 for an R copy and 2 for a C copy. Integer order is the canonical vertex
@@ -72,35 +71,29 @@ def _strong_edge_ids(dataset: DataSet) -> list[tuple[int, int]]:
     """Id pairs of the strongly implementing graph of a laminar dataset
     with unique, deduplicated choices.
 
-    The caller guarantees laminarity and uniqueness (``rationalize_zero_sum``
-    checks both); deduplication is checked here. Per observation ((i,j), X, Y)
-    with children taken from the containment forest: besides the implement
-    edges, every vertex of a child containing row i gets a column edge toward
-    column j, and every other off-choice vertex gets a row edge from row i.
-    The result is acyclic and pins the observed choice as the unique strict
-    equilibrium of each subgame once payoffs are assigned by levels.
+    The caller guarantees all three (``rationalize_zero_sum`` checks
+    laminarity and uniqueness, and ``dedupe_nested`` then leaves pairwise
+    distinct choices). Per observation ((i,j), X, Y) with children taken
+    from the containment forest: besides the implement edges, every vertex
+    of a child containing row i gets a column edge toward column j, and
+    every other off-choice vertex gets a row edge from row i. The result is
+    acyclic and pins the observed choice as the unique strict equilibrium
+    of each subgame once payoffs are assigned by levels.
     """
-    seen_choices: dict[StrategyProfile, Observation] = {}
-    for obs in dataset.observations:
-        if obs.choice in seen_choices:
-            raise NotDeduped(
-                f"observations {seen_choices[obs.choice]} and {obs} share choice {obs.choice}"
-            )
-        seen_choices[obs.choice] = obs
-
     n = dataset.n
     forest = laminar_forest(dataset)
     pairs: list[tuple[int, int]] = []
-    for obs in dataset.observations:
+    for obs, position in zip(dataset.observations, _classified(dataset).positions):
         (i, j), subgame = obs.choice, obs.subgame
         # Cells and rows of the children that hold row i; sibling grids
         # are disjoint.
         row_side: set[int] = set()
         side_rows: set[int] = set()
-        for child in forest.children_of(subgame):
-            if i in child.rows:
-                row_side |= _cells(n, child.grid())
-                side_rows.update(child.rows)
+        for child in forest.children_index[position]:
+            grid = forest.subgames[child]
+            if i in grid.rows:
+                row_side.update((r - 1) * n + c - 1 for r in grid.rows for c in grid.cols)
+                side_rows.update(grid.rows)
         choice = (i - 1) * n + j - 1
         # A child grid holding the choice would collide with uniqueness
         # plus deduplication.
@@ -189,16 +182,6 @@ def _cycle_text(n: int, cycle: tuple[int, ...]) -> str:
     messages print it: a tuple of SplitVertex(row=…, col=…, tag=…)."""
     vertices = ("SplitVertex(row={}, col={}, tag={!r})".format(*_coordinates(n, vid)) for vid in cycle)
     return f"({', '.join(vertices)})"
-
-
-def _levels(n: int, pairs: Collection[tuple[int, int]]) -> dict[int, int]:
-    """The sweep's levels; when it stalls, raises CyclicGraph carrying the
-    cycle as (row, col, tag) triples."""
-    levels, cycle = _sweep(pairs)
-    if cycle is not None:
-        raise CyclicGraph(f"level sweep stalled on cycle {_cycle_text(n, cycle)}",
-                          tuple(_coordinates(n, vid) for vid in cycle))
-    return levels
 
 
 def _payoffs(n: int, levels: dict[int, int]) -> BimatrixGame:

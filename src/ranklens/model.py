@@ -297,12 +297,6 @@ class BimatrixGame:
     ) -> "BimatrixGame":
         return cls(len(a), tuple(map(tuple, a)), tuple(map(tuple, b)))
 
-    def payoff_a(self, profile: StrategyProfile) -> Fraction:
-        return self.a[profile.row - 1][profile.col - 1]
-
-    def payoff_b(self, profile: StrategyProfile) -> Fraction:
-        return self.b[profile.row - 1][profile.col - 1]
-
     def total(self) -> tuple[tuple[Fraction, ...], ...]:
         """The sum matrix A + B, whose rank classifies the game."""
         return tuple(
@@ -437,16 +431,40 @@ def _bareiss_rank(m: list[list[int]]) -> int:
 _PRIME = 2**61 - 1
 
 
+def _integer_rows(game: BimatrixGame) -> list[tuple[int, list[int]]]:
+    """(scale, row) for every row of A + B, in order: scale is the lcm of
+    the row's denominators and row is the row times scale, as ints.
+
+    Each is built once per distinct pair of row objects and shared by the
+    rows with that pair, so callers must not change it. Each distinct entry
+    object's numerator and denominator are read once.
+    """
+    memo: dict = {}
+    ratio = Fraction.as_integer_ratio
+
+    def integer_row(row_a, row_b) -> tuple[int, list[int]]:
+        nums_a, dens_a = zip(*_map_once(ratio, row_a, memo))
+        nums_b, dens_b = zip(*_map_once(ratio, row_b, memo))
+        scale = math.lcm(*dens_a, *dens_b)
+        if scale == 1:
+            return 1, list(map(add, nums_a, nums_b))
+        terms = zip(nums_a, dens_a, nums_b, dens_b)
+        return scale, [x * (scale // dx) + y * (scale // dy) for x, dx, y, dy in terms]
+
+    keys = list(zip(map(id, game.a), map(id, game.b)))
+    pairs = dict(zip(keys, zip(game.a, game.b)))
+    rows = {key: integer_row(row_a, row_b) for key, (row_a, row_b) in pairs.items()}
+    return list(map(rows.__getitem__, keys))
+
+
 def game_rank(game: BimatrixGame) -> int:
     """Rank of A + B over the rationals; zero iff the game is zero-sum.
 
     Exact in four steps, each of which keeps the rank:
 
-    1. A + B is formed once per distinct pair of row objects (a repeated
-       row of A + B adds nothing to the rank), each row scaled to
-       integers straight from its entries' numerators and denominators
-       (by the lcm of the row's denominators), which are read once per
-       distinct entry object.
+    1. A + B is scaled to integers row by row (``_integer_rows``), and
+       each distinct row is kept once: a repeated row of A + B adds
+       nothing to the rank.
     2. Zero rows and zero columns are dropped; an empty support has rank 0.
        The rank is at most min(#rows, #cols) of the support.
     3. Rank 1 is decided exactly: every row is proportional to the first,
@@ -457,18 +475,8 @@ def game_rank(game: BimatrixGame) -> int:
        the support's min(#rows, #cols), it is the rank; otherwise Bareiss
        elimination of the support decides.
     """
-    memo: dict = {}
-    ratio = Fraction.as_integer_ratio
-    total = []
-    for row_a, row_b in {(id(a), id(b)): (a, b) for a, b in zip(game.a, game.b)}.values():
-        (nums_a, dens_a), (nums_b, dens_b) = zip(*_map_once(ratio, row_a, memo)), zip(*_map_once(ratio, row_b, memo))
-        scale = math.lcm(*dens_a, *dens_b)
-        if scale == 1:
-            row = list(map(add, nums_a, nums_b))
-        else:
-            row = [x * (scale // dx) + y * (scale // dy) for x, dx, y, dy in zip(nums_a, dens_a, nums_b, dens_b)]
-        if any(row):
-            total.append(row)
+    distinct = {id(row): row for _, row in _integer_rows(game)}
+    total = [row for row in distinct.values() if any(row)]
     if not total:
         return 0
     support = [list(row) for row in zip(*(col for col in zip(*total) if any(col)))]

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import NotLaminar, NotRationalizable, SubgameNotFull, UniquenessViolated
-from .graphs import _cells, _coordinates, _cycle_text, _edge_ids, _levels, _payoffs, _strong_edge_ids, _sweep
+from .graphs import _cells, _coordinates, _cycle_text, _edge_ids, _payoffs, _strong_edge_ids, _sweep
 from .model import (
     BimatrixGame,
     DataSet,
@@ -201,7 +201,13 @@ def rationalize_zero_sum(dataset: DataSet) -> RationalizationCertificate:
     if not report.laminar:
         raise NotLaminar("dataset has crossing subgames")
     _require_uniqueness(report)
-    game = _payoffs(dataset.n, _levels(dataset.n, _strong_edge_ids(dedupe_nested(dataset))))
+    n = dataset.n
+    levels, cycle = _sweep(_strong_edge_ids(dedupe_nested(dataset)))
+    # The graph has edges beyond the inequalities that _certify tests, so
+    # a cycle here would not be caught there.
+    if cycle is not None:
+        raise AssertionError(f"internal error: zero_sum's strong graph has cycle {_cycle_text(n, cycle)}")
+    game = _payoffs(n, levels)
     return _certify(game, dataset, "zero_sum", rank_bound=0, uniqueness_guarantee=True)
 
 

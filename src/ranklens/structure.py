@@ -28,13 +28,15 @@ from functools import cached_property
 
 from .model import DataSet, Observation, StrategyProfile, Subgame
 
-_BIT = (1).__lshift__
-
 
 def _bits(indices) -> int:
-    """Bit i set for each index i; the indices of a subgame are distinct,
-    so their sum is their union."""
-    return sum(map(_BIT, indices))
+    """Bit i set for each index i, read by int() from one binary digit per
+    index up to the largest, so the time is linear in that index."""
+    top, one = max(indices), ord("1")
+    digits = bytearray(b"0") * (top + 1)
+    for index in indices:
+        digits[top - index] = one
+    return int(digits, 2)
 
 
 def _masks(subgame: Subgame) -> tuple[int, int]:

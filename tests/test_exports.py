@@ -4,8 +4,8 @@ import ranklens
 
 PUBLIC_NAMES = {
     # errors
-    "BudgetExceeded", "ChoiceOutsideSubgame", "CyclicGraph", "DataError", "DocumentError", "EmptySubgame",
-    "IndexOutOfRange", "InvalidSize", "NotDeduped", "NotLaminar", "NotPowerOfTwo", "NotRationalizable",
+    "BudgetExceeded", "ChoiceOutsideSubgame", "DataError", "DocumentError", "EmptySubgame",
+    "IndexOutOfRange", "InvalidSize", "NotLaminar", "NotPowerOfTwo", "NotRationalizable",
     "NotTwoRegular", "PreconditionError", "RanklensError", "SizeLimitExceeded", "SizeMismatch",
     "SubgameNotFull", "UniquenessViolated", "ZeroSignEntry",
     # documents
@@ -35,5 +35,5 @@ def test_public_names_are_the_documented_surface():
         name for name, value in vars(ranklens).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 72
+    assert len(PUBLIC_NAMES) == 70
     assert exported == PUBLIC_NAMES

@@ -5,13 +5,9 @@ from functools import partial
 from random import Random
 from typing import NamedTuple
 
-import pytest
-
 from ranklens import (
     BimatrixGame,
     CycleWitness,
-    CyclicGraph,
-    NotDeduped,
     RanklensError,
     StrategyProfile,
     analyze,
@@ -21,6 +17,7 @@ from ranklens import (
     game_rank,
     game_to_text,
     is_rationalizable,
+    laminar_forest,
     rationalize_auto,
     rationalize_bounded_rank,
     rationalize_general,
@@ -31,7 +28,7 @@ from ranklens import (
     validate_dataset,
     zero_sum_feasible,
 )
-from ranklens.graphs import _cells, _coordinates, _cycle_text, _edge_ids, _levels, _payoffs, _strong_edge_ids, _sweep
+from ranklens.graphs import _cells, _coordinates, _cycle_text, _edge_ids, _payoffs, _strong_edge_ids, _sweep
 from .generators import (
     _canonical,
     naive_is_acyclic,
@@ -120,16 +117,28 @@ class TestStrongLaminarGraph:
     def test_nested_dataset_edges_and_payoffs(self, nested_dataset):
         pairs = _strong_edge_ids(nested_dataset)
         assert set(pairs) == {(V2(1, 1), V2(2, 1)), (V2(1, 2), V2(1, 1)), (V2(1, 2), V2(2, 2))}
-        game = _payoffs(2, _levels(2, pairs))
+        game = _payoffs(2, _sweep(pairs)[0])
         assert game.a == ((Fraction(2), Fraction(3)), (Fraction(1), Fraction(1)))
         assert game.b == ((Fraction(-2), Fraction(-3)), (Fraction(-1), Fraction(-1)))
 
-    def test_preconditions(self):
-        # Laminarity and uniqueness are the caller's to check; see
-        # TestZeroSum::test_preconditions in test_rationalize.py.
-        undeduped = validate_dataset([((2, 2), (1, 2), (1, 2)), ((2, 2), (2,), (2,))], 2)
-        with pytest.raises(NotDeduped):
-            _strong_edge_ids(undeduped)
+    def test_strong_graph_is_acyclic_on_laminar_uniqueness_data(self):
+        """What the zero-sum route relies on without checking it at run
+        time: on laminar uniqueness data, dedupe_nested leaves pairwise
+        distinct choices, no child grid holds its parent's choice, and the
+        strong graph is acyclic."""
+        rng = Random(59)
+        corpus = [ds for ds in reference_corpus() if analyze(ds).laminar and analyze(ds).uniqueness]
+        draws = [random_laminar_unique_dataset(rng, n) for n in range(2, 13) for _ in range(20)]
+        for ds in corpus + draws:
+            assert analyze(ds).laminar and analyze(ds).uniqueness
+            deduped = dedupe_nested(ds)
+            choices = [obs.choice for obs in deduped.observations]
+            assert len(set(choices)) == len(choices)
+            forest = laminar_forest(deduped)
+            for obs in deduped.observations:
+                assert not any(child.contains(obs.choice) for child in forest.children_of(obs.subgame))
+            assert _sweep(_strong_edge_ids(deduped))[1] is None
+        assert len(corpus) > 100 and len(draws) >= 200
 
     def test_strong_implementation(self):
         rng = Random(29)
@@ -140,7 +149,7 @@ class TestStrongLaminarGraph:
             assert _sweep(pairs)[1] is None
             rows, cols = _edge_ids(n, deduped.observations)
             assert rows | cols <= set(pairs)
-            game = _payoffs(n, _levels(n, pairs))
+            game = _payoffs(n, _sweep(pairs)[0])
             assert game.is_zero_sum
             assert rationalizes(game, ds).ok
             for obs in ds.observations:
@@ -151,7 +160,7 @@ class TestLevels:
     def test_single_edge(self):
         ds = validate_dataset([((1, 1), (1, 2), (1,))], 2)
         pairs = _strong_edge_ids(ds)
-        levels = _levels(2, pairs)
+        levels = _sweep(pairs)[0]
         assert levels == {V2(1, 1): 2, V2(2, 1): 1}
         game = _payoffs(2, levels)
         assert game.a == ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
@@ -162,19 +171,15 @@ class TestLevels:
         for _ in range(20):
             ds = dedupe_nested(random_laminar_unique_dataset(rng, rng.randint(2, 6)))
             pairs = _strong_edge_ids(ds)
-            levels = _levels(ds.n, pairs)
+            levels = _sweep(pairs)[0]
             for src, dst in pairs:
                 assert levels[src] > levels[dst]
 
     def test_cycle_detection(self):
         pairs = [(0, 9), (9, 0)]  # (1,1) -> (2,2) -> (1,1)
         assert _sweep(pairs) == ({}, (0, 9))
-        with pytest.raises(CyclicGraph) as raised:
-            _levels(2, pairs)
-        assert str(raised.value) == (
-            "level sweep stalled on cycle (SplitVertex(row=1, col=1, tag=''), SplitVertex(row=2, col=2, tag=''))"
-        )
-        assert raised.value.cycle == ((1, 1, ""), (2, 2, ""))
+        assert _cycle_text(2, (0, 9)) == "(SplitVertex(row=1, col=1, tag=''), SplitVertex(row=2, col=2, tag=''))"
+        assert tuple(_coordinates(2, vid) for vid in (0, 9)) == ((1, 1, ""), (2, 2, ""))
 
     def test_witness_starts_at_least_vertex_that_reaches_a_cycle(self):
         # (1,1) and (1,2) only lead into the cycle (2,2) -> (3,2) -> (2,2);
@@ -204,7 +209,7 @@ class TestSplitGraph:
 
     def test_crossing_strips_payoffs(self, crossing_strips_dataset):
         pairs, _ = crossing_split_pairs(crossing_strips_dataset)
-        game = _payoffs(2, _levels(2, pairs))
+        game = _payoffs(2, _sweep(pairs)[0])
         assert game.a == ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(2)))
         assert game.b == ((Fraction(-1), Fraction(-1)), (Fraction(-2), Fraction(-1)))
         assert not game.is_zero_sum
@@ -215,7 +220,7 @@ class TestSplitGraph:
         pairs, split = crossing_split_pairs(nested_dataset)
         assert split == set()
         assert crossing_span(nested_dataset) == 0
-        assert _payoffs(2, _levels(2, pairs)).is_zero_sum
+        assert _payoffs(2, _sweep(pairs)[0]).is_zero_sum
 
     def test_empty_split_gives_plain_graph(self, crossing_strips_dataset):
         rows, cols = _edge_ids(2, crossing_strips_dataset.observations)
@@ -238,7 +243,7 @@ class TestSplitGraph:
             acyclic = _sweep(pairs)[1] is None
             assert acyclic == is_rationalizable(ds).rationalizable
             if acyclic:
-                game = _payoffs(ds.n, _levels(ds.n, pairs))
+                game = _payoffs(ds.n, _sweep(pairs)[0])
                 assert rationalizes(game, ds).ok
                 assert game_rank(game) <= crossing_span(ds)
             branches[acyclic] += 1
@@ -296,15 +301,12 @@ class TestSparseSweepsMatchDense:
             reference = naive_topological_levels(n, pairs, split)
             if cycle is None:
                 assert {vid: levels.get(vid, 1) for vid in reference} == reference
-                assert _levels(n, pairs) == levels
             else:
                 cyclic += 1
                 assert reference is None
-                with pytest.raises(CyclicGraph) as raised:
-                    _levels(n, pairs)
-                assert str(raised.value) == f"level sweep stalled on cycle {cycle_text(n, cycle)}"
+                assert _cycle_text(n, cycle) == cycle_text(n, cycle)
                 vertices = naive_vertices(n, split)
-                assert raised.value.cycle == tuple(vertices[vid] for vid in cycle)
+                assert tuple(_coordinates(n, vid) for vid in cycle) == tuple(vertices[vid] for vid in cycle)
             graphs += 1
         assert graphs > 10_000
         assert cyclic > 1_000

@@ -212,15 +212,20 @@ class TestBlockDifference:
             assert not block_difference_certificate(game, SignMatrix(tuple(map(tuple, flipped))))
 
     def test_integer_sums_match_the_fraction_reference(self):
-        # Unlike denominators across A and B, and entry objects both shared
-        # and separate: the result must be the Fraction computation's.
+        # Unlike denominators across A and B, entry objects both shared and
+        # separate, and row objects shared in A alone: the result must be
+        # the Fraction computation's.
         rng = Random(73)
         checked = {True: 0, False: 0}
-        for trial in range(60):
+        for trial in range(80):
             n = 2 * rng.randint(1, 4)
             a = random_fraction_matrix(rng, n, max_abs=4, max_den=rng.choice((1, 3, 12)))
             b = random_fraction_matrix(rng, n, max_abs=4, max_den=rng.choice((1, 5, 7)))
-            if trial % 3 == 0:
+            if trial >= 60:
+                # Every row of A is one tuple; the rows of B are their own.
+                a = (random_fraction_matrix(rng, n, max_abs=4, max_den=12)[0],) * n
+                b = random_fraction_matrix(rng, n, max_abs=4, max_den=7)
+            elif trial % 3 == 0:
                 b = a  # the same entry objects in A and B
             elif trial % 3 == 1:
                 b = tuple(tuple(-Fraction(x) + 1 for x in row) for row in a)

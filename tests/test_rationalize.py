@@ -137,6 +137,18 @@ class TestZeroSum:
         with pytest.raises(UniquenessViolated):
             rationalize_zero_sum(diag_dataset)
 
+    def test_a_cyclic_strong_graph_is_an_internal_error(self, nested_dataset, monkeypatch):
+        # Laminar uniqueness data make the strong graph acyclic (see
+        # test_strong_graph_is_acyclic_on_laminar_uniqueness_data); were it
+        # not, the route would stop and name the cycle.
+        monkeypatch.setattr("ranklens.rationalize._strong_edge_ids", lambda dataset: [(0, 9), (9, 0)])
+        with pytest.raises(AssertionError) as raised:
+            rationalize_zero_sum(nested_dataset)
+        assert str(raised.value) == (
+            "internal error: zero_sum's strong graph has cycle "
+            "(SplitVertex(row=1, col=1, tag=''), SplitVertex(row=2, col=2, tag=''))"
+        )
+
     def test_random_datasets(self):
         rng = Random(47)
         for _ in range(30):
