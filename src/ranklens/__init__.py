@@ -71,17 +71,13 @@ from .rationalize import (
     rationalize_zero_sum,
 )
 from .structure import (
-    LaminarForest,
     StructureReport,
     UniquenessCheck,
     analyze,
     crossing_set,
-    crossing_span,
     dedupe_nested,
-    is_laminar,
     laminar_forest,
     satisfies_uniqueness,
-    subgames_cross,
 )
 
 __version__ = "0.1.0"

@@ -81,16 +81,16 @@ def _strong_edge_ids(dataset: DataSet) -> list[tuple[int, int]]:
     of each subgame once payoffs are assigned by levels.
     """
     n = dataset.n
-    forest = laminar_forest(dataset)
+    children, memo = laminar_forest(dataset), _classified(dataset)
     pairs: list[tuple[int, int]] = []
-    for obs, position in zip(dataset.observations, _classified(dataset).positions):
+    for obs, position in zip(dataset.observations, memo.positions):
         (i, j), subgame = obs.choice, obs.subgame
         # Cells and rows of the children that hold row i; sibling grids
         # are disjoint.
         row_side: set[int] = set()
         side_rows: set[int] = set()
-        for child in forest.children_index[position]:
-            grid = forest.subgames[child]
+        for child in children[position]:
+            grid = memo.subgames[child]
             if i in grid.rows:
                 row_side.update((r - 1) * n + c - 1 for r in grid.rows for c in grid.cols)
                 side_rows.update(grid.rows)

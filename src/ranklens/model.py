@@ -101,10 +101,6 @@ class Subgame:
     def contains(self, profile: StrategyProfile) -> bool:
         return profile.row in self.rows and profile.col in self.cols
 
-    def contains_subgame(self, other: "Subgame") -> bool:
-        """Grid containment: other's grid is a subset of this grid."""
-        return set(other.rows) <= set(self.rows) and set(other.cols) <= set(self.cols)
-
     def grid(self) -> tuple[StrategyProfile, ...]:
         return tuple(StrategyProfile(i, j) for i in self.rows for j in self.cols)
 
@@ -184,13 +180,6 @@ class DataSet:
             subgames = tuple(sorted({obs.subgame for obs in self.observations}, key=_subgame_key))
             object.__setattr__(self, "_subgames", subgames)
         return subgames
-
-    def choices(self) -> tuple[StrategyProfile, ...]:
-        """Distinct observed choices, in canonical order."""
-        return tuple(sorted({obs.choice for obs in self.observations}))
-
-    def __len__(self) -> int:
-        return len(self.observations)
 
 
 def _observations(triples: Sequence[tuple]) -> tuple[Observation, ...]:
@@ -297,17 +286,6 @@ class BimatrixGame:
     ) -> "BimatrixGame":
         return cls(len(a), tuple(map(tuple, a)), tuple(map(tuple, b)))
 
-    def total(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The sum matrix A + B, whose rank classifies the game."""
-        return tuple(
-            tuple(x + y for x, y in zip(row_a, row_b))
-            for row_a, row_b in zip(self.a, self.b)
-        )
-
-    @property
-    def is_zero_sum(self) -> bool:
-        return all(x + y == 0 for row_a, row_b in zip(self.a, self.b) for x, y in zip(row_a, row_b))
-
 
 @dataclass(frozen=True)
 class SignMatrix:
@@ -384,10 +362,7 @@ def rational_matrix_rank(rows: Sequence[Sequence[RationalLike]]) -> int:
     nonzero entry of each column. No floating point anywhere.
     """
     matrix = [[_to_fraction(x) for x in row] for row in rows]
-    if not matrix or not matrix[0]:
-        return 0
-    width = len(matrix[0])
-    if any(len(row) != width for row in matrix):
+    if any(len(row) != len(matrix[0]) for row in matrix):
         raise SizeMismatch("ragged matrix")
     m: list[list[int]] = []
     for row in matrix:

@@ -39,11 +39,6 @@ def _bits(indices) -> int:
     return int(digits, 2)
 
 
-def _masks(subgame: Subgame) -> tuple[int, int]:
-    """The grid as two bitmasks: bit i is set for row (column) i."""
-    return _bits(subgame.rows), _bits(subgame.cols)
-
-
 class _GridIndex:
     """The subgames' grids, indexed by row set, then column.
 
@@ -133,17 +128,6 @@ def _classified(dataset: DataSet) -> _Classification:
     return memo
 
 
-def subgames_cross(first: Subgame, second: Subgame) -> bool:
-    """Grids intersect and neither contains the other."""
-    (rows_f, cols_f), (rows_s, cols_s) = _masks(first), _masks(second)
-    rows, cols = rows_f & rows_s, cols_f & cols_s
-    if not rows or not cols:
-        return False
-    first_inside = rows == rows_f and cols == cols_f
-    second_inside = rows == rows_s and cols == cols_s
-    return not first_inside and not second_inside
-
-
 def crossing_set(dataset: DataSet) -> tuple[Subgame, ...]:
     """Subgames of the dataset that cross at least one other subgame.
 
@@ -164,10 +148,6 @@ def crossing_set(dataset: DataSet) -> tuple[Subgame, ...]:
                 crossing[position] = crossing[other] = True
                 break
     return tuple(s for s, crosses in zip(subgames, crossing) if crosses)
-
-
-def is_laminar(dataset: DataSet) -> bool:
-    return not _classified(dataset).crossing
 
 
 @dataclass(frozen=True)
@@ -253,82 +233,23 @@ def _report(dataset: DataSet, crossing: tuple[Subgame, ...]) -> StructureReport:
     )
 
 
-def crossing_span(dataset: DataSet) -> int:
-    return analyze(dataset).crossing_span
+def laminar_forest(dataset: DataSet) -> tuple[tuple[int, ...], ...]:
+    """The containment forest of a laminar dataset's distinct subgames, as
+    the children of each position of ``dataset.subgames()``.
 
-
-@dataclass(frozen=True)
-class LaminarForest:
-    """Containment forest of a laminar dataset's distinct subgames.
-
-    The parent of a node is the smallest subgame strictly containing it;
-    roots are the maximal subgames. Sibling grids are pairwise disjoint.
-    """
-
-    subgames: tuple[Subgame, ...]
-    parent_index: tuple[int | None, ...]
-    children_index: tuple[tuple[int, ...], ...]
-    roots: tuple[int, ...]
-
-    @cached_property
-    def _positions(self) -> dict[Subgame, int]:
-        return {subgame: index for index, subgame in enumerate(self.subgames)}
-
-    def _index_of(self, subgame: Subgame) -> int:
-        try:
-            return self._positions[subgame]
-        except KeyError:
-            raise KeyError(f"subgame {subgame} is not a node of this forest") from None
-
-    def parent_of(self, subgame: Subgame) -> Subgame | None:
-        parent = self.parent_index[self._index_of(subgame)]
-        return None if parent is None else self.subgames[parent]
-
-    def children_of(self, subgame: Subgame) -> tuple[Subgame, ...]:
-        return tuple(self.subgames[i] for i in self.children_index[self._index_of(subgame)])
-
-    def root_subgames(self) -> tuple[Subgame, ...]:
-        return tuple(self.subgames[i] for i in self.roots)
-
-    def height(self) -> int:
-        """Number of nodes on the longest root-to-leaf path (0 when empty)."""
-
-        def depth(index: int) -> int:
-            children = self.children_index[index]
-            return 1 + (max(depth(c) for c in children) if children else 0)
-
-        return max((depth(r) for r in self.roots), default=0)
-
-    def __len__(self) -> int:
-        return len(self.subgames)
-
-
-def laminar_forest(dataset: DataSet) -> LaminarForest:
-    """Build the containment forest of a laminar dataset.
-
-    The caller guarantees laminarity; on crossing data the result is not a
-    containment forest.
+    The parent of a subgame is the smallest subgame strictly containing
+    it; sibling grids are pairwise disjoint. The caller guarantees
+    laminarity; on crossing data the result is not a containment forest.
     """
     memo = _classified(dataset)
     subgames, index = memo.subgames, memo.index
-    parent_index: list[int | None] = []
+    children: list[list[int]] = [[] for _ in subgames]
     for position, s in enumerate(subgames):
         containers = [(subgames[i].grid_size(), i) for i in index.containers(s, position) if i != position]
         # Laminarity makes the containers a chain, so the smallest is unique.
-        parent_index.append(min(containers)[1] if containers else None)
-    children: list[list[int]] = [[] for _ in subgames]
-    roots = []
-    for i, parent in enumerate(parent_index):
-        if parent is None:
-            roots.append(i)
-        else:
-            children[parent].append(i)
-    return LaminarForest(
-        subgames=subgames,
-        parent_index=tuple(parent_index),
-        children_index=tuple(tuple(c) for c in children),
-        roots=tuple(roots),
-    )
+        if containers:
+            children[min(containers)[1]].append(position)
+    return tuple(map(tuple, children))
 
 
 def dedupe_nested(dataset: DataSet) -> DataSet:

@@ -13,7 +13,6 @@ from random import Random
 
 from ranklens import (
     DataSet,
-    LaminarForest,
     RanklensError,
     UniquenessCheck,
     satisfies_uniqueness,
@@ -165,6 +164,24 @@ def random_fraction_matrix(rng: Random, size: int, max_abs: int = 9, max_den: in
 # --- independent reference computations ---------------------------------
 
 
+def grid_contains(outer, inner) -> bool:
+    """Grid containment: inner's grid is a subset of outer's."""
+    return set(inner.rows) <= set(outer.rows) and set(inner.cols) <= set(outer.cols)
+
+
+def distinct_choices(dataset: DataSet) -> set:
+    return {obs.choice for obs in dataset.observations}
+
+
+def sum_matrix(game) -> list:
+    """A + B, entry by entry."""
+    return [[x + y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(game.a, game.b)]
+
+
+def is_zero_sum(game) -> bool:
+    return all(x + y == 0 for row_a, row_b in zip(game.a, game.b) for x, y in zip(row_a, row_b))
+
+
 def determinant(matrix) -> Fraction:
     """Cofactor expansion along the first row."""
     size = len(matrix)
@@ -289,36 +306,27 @@ def naive_satisfies_uniqueness(dataset: DataSet) -> UniquenessCheck:
         for inner in dataset.observations:
             if inner.subgame == outer.subgame:
                 continue
-            if not outer.subgame.contains_subgame(inner.subgame):
+            if not grid_contains(outer.subgame, inner.subgame):
                 continue
             if inner.subgame.contains(outer.choice) and inner.choice != outer.choice:
                 return UniquenessCheck(False, (outer, inner))
     return UniquenessCheck(True, None)
 
 
-def naive_laminar_forest(dataset: DataSet) -> LaminarForest:
+def naive_laminar_forest(dataset: DataSet) -> tuple:
+    """The children of each position of ``dataset.subgames()``: a
+    subgame's parent is its smallest strict container."""
     subgames = dataset.subgames()
-    parent_index = []
-    for s in subgames:
+    children = [[] for _ in subgames]
+    for position, s in enumerate(subgames):
         containers = [
             (t.grid_size(), i)
             for i, t in enumerate(subgames)
-            if t != s and t.contains_subgame(s)
+            if t != s and grid_contains(t, s)
         ]
-        parent_index.append(min(containers)[1] if containers else None)
-    children = [[] for _ in subgames]
-    roots = []
-    for i, parent in enumerate(parent_index):
-        if parent is None:
-            roots.append(i)
-        else:
-            children[parent].append(i)
-    return LaminarForest(
-        subgames=subgames,
-        parent_index=tuple(parent_index),
-        children_index=tuple(tuple(c) for c in children),
-        roots=tuple(roots),
-    )
+        if containers:
+            children[min(containers)[1]].append(position)
+    return tuple(tuple(c) for c in children)
 
 
 def naive_dedupe_nested(dataset: DataSet) -> DataSet:
@@ -327,7 +335,7 @@ def naive_dedupe_nested(dataset: DataSet) -> DataSet:
         subsumed = any(
             other.choice == obs.choice
             and other.subgame != obs.subgame
-            and other.subgame.contains_subgame(obs.subgame)
+            and grid_contains(other.subgame, obs.subgame)
             for other in dataset.observations
         )
         if not subsumed:

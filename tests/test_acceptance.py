@@ -14,7 +14,6 @@ from ranklens import (
     analyze,
     block_difference_certificate,
     brute_force_min_rank,
-    crossing_span,
     game_rank,
     hadamard_minrank_bound,
     is_rationalizable,
@@ -136,7 +135,7 @@ def test_criterion_5_bounded_rank_route():
         if not is_rationalizable(ds):
             continue
         cert = rationalize_bounded_rank(ds)
-        span = crossing_span(ds)
+        span = analyze(ds).crossing_span
         assert rationalizes(cert.game, ds).ok
         assert cert.rank <= span
         if span > 0:
@@ -186,7 +185,7 @@ def test_criterion_7_variant_span_scales():
     spans = {}
     for k in range(1, 7):
         variant = uniqueness_variant(two_regular_dataset(sylvester_hadamard(k)))
-        spans[variant.n] = crossing_span(variant)
+        spans[variant.n] = analyze(variant).crossing_span
     elapsed = time.perf_counter() - start
     ok = spans == {4: 2, 8: 4, 16: 8, 32: 16, 64: 32, 128: 64} and elapsed < HADAMARD_BUDGET
     record(7, ok, f"spans {spans}, {elapsed:.2f}s")

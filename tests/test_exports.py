@@ -25,8 +25,8 @@ PUBLIC_NAMES = {
     "rationalize_auto", "rationalize_bounded_rank", "rationalize_general", "rationalize_rank_one",
     "rationalize_zero_sum",
     # structure
-    "LaminarForest", "StructureReport", "UniquenessCheck", "analyze", "crossing_set", "crossing_span",
-    "dedupe_nested", "is_laminar", "laminar_forest", "satisfies_uniqueness", "subgames_cross",
+    "StructureReport", "UniquenessCheck", "analyze", "crossing_set", "dedupe_nested", "laminar_forest",
+    "satisfies_uniqueness",
 }
 
 
@@ -35,5 +35,5 @@ def test_public_names_are_the_documented_surface():
         name for name, value in vars(ranklens).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 70
+    assert len(PUBLIC_NAMES) == 66
     assert exported == PUBLIC_NAMES

@@ -11,7 +11,6 @@ from ranklens import (
     RanklensError,
     StrategyProfile,
     analyze,
-    crossing_span,
     dedupe_nested,
     game_from_text,
     game_rank,
@@ -31,6 +30,7 @@ from ranklens import (
 from ranklens.graphs import _cells, _coordinates, _cycle_text, _edge_ids, _payoffs, _strong_edge_ids, _sweep
 from .generators import (
     _canonical,
+    is_zero_sum,
     naive_is_acyclic,
     naive_topological_levels,
     naive_vertices,
@@ -134,9 +134,10 @@ class TestStrongLaminarGraph:
             deduped = dedupe_nested(ds)
             choices = [obs.choice for obs in deduped.observations]
             assert len(set(choices)) == len(choices)
-            forest = laminar_forest(deduped)
+            subgames, children = deduped.subgames(), laminar_forest(deduped)
             for obs in deduped.observations:
-                assert not any(child.contains(obs.choice) for child in forest.children_of(obs.subgame))
+                kids = children[subgames.index(obs.subgame)]
+                assert not any(subgames[kid].contains(obs.choice) for kid in kids)
             assert _sweep(_strong_edge_ids(deduped))[1] is None
         assert len(corpus) > 100 and len(draws) >= 200
 
@@ -150,7 +151,7 @@ class TestStrongLaminarGraph:
             rows, cols = _edge_ids(n, deduped.observations)
             assert rows | cols <= set(pairs)
             game = _payoffs(n, _sweep(pairs)[0])
-            assert game.is_zero_sum
+            assert is_zero_sum(game)
             assert rationalizes(game, ds).ok
             for obs in ds.observations:
                 assert strict_equilibria(game, obs.subgame) == {obs.choice}
@@ -203,7 +204,7 @@ class TestLevels:
 class TestSplitGraph:
     def test_crossing_strips(self, crossing_strips_dataset):
         assert analyze(crossing_strips_dataset).crossing_choices == (P(2, 2),)
-        assert crossing_span(crossing_strips_dataset) == 1
+        assert analyze(crossing_strips_dataset).crossing_span == 1
         pairs, _ = crossing_split_pairs(crossing_strips_dataset)
         assert pairs == {(V2(2, 2, "R"), V2(1, 2)), (V2(2, 1), V2(2, 2, "C"))}
 
@@ -212,15 +213,15 @@ class TestSplitGraph:
         game = _payoffs(2, _sweep(pairs)[0])
         assert game.a == ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(2)))
         assert game.b == ((Fraction(-1), Fraction(-1)), (Fraction(-2), Fraction(-1)))
-        assert not game.is_zero_sum
+        assert not is_zero_sum(game)
         assert game_rank(game) == 1
         assert rationalizes(game, crossing_strips_dataset).ok
 
     def test_laminar_dataset_splits_nothing(self, nested_dataset):
         pairs, split = crossing_split_pairs(nested_dataset)
         assert split == set()
-        assert crossing_span(nested_dataset) == 0
-        assert _payoffs(2, _sweep(pairs)[0]).is_zero_sum
+        assert analyze(nested_dataset).crossing_span == 0
+        assert is_zero_sum(_payoffs(2, _sweep(pairs)[0]))
 
     def test_empty_split_gives_plain_graph(self, crossing_strips_dataset):
         rows, cols = _edge_ids(2, crossing_strips_dataset.observations)
@@ -232,7 +233,7 @@ class TestSplitGraph:
         for _ in range(40):
             ds = random_uniqueness_dataset(rng, rng.randint(2, 7))
             split = analyze(ds).crossing_choices
-            assert min(len({p.row for p in split}), len({p.col for p in split})) == crossing_span(ds)
+            assert min(len({p.row for p in split}), len({p.col for p in split})) == analyze(ds).crossing_span
 
     def test_acyclic_iff_rationalizable(self):
         rng = Random(41)
@@ -245,7 +246,7 @@ class TestSplitGraph:
             if acyclic:
                 game = _payoffs(ds.n, _sweep(pairs)[0])
                 assert rationalizes(game, ds).ok
-                assert game_rank(game) <= crossing_span(ds)
+                assert game_rank(game) <= analyze(ds).crossing_span
             branches[acyclic] += 1
         # The generator sometimes emits contradictory crossing data.
         assert branches[True] and branches[False]

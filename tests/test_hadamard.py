@@ -13,10 +13,9 @@ from ranklens import (
     SizeLimitExceeded,
     SizeMismatch,
     ZeroSignEntry,
+    analyze,
     block_difference_certificate,
-    crossing_span,
     hadamard_minrank_bound,
-    is_laminar,
     is_rationalizable,
     rationalize_bounded_rank,
     rationalize_general,
@@ -28,7 +27,7 @@ from ranklens import (
     validate_dataset,
 )
 from ranklens.graphs import _edge_ids
-from .generators import random_fraction_matrix, rank_one_sign_realizable
+from .generators import distinct_choices, random_fraction_matrix, rank_one_sign_realizable, sum_matrix
 
 H2 = SignMatrix(((1, 1), (1, -1)))
 
@@ -79,9 +78,9 @@ class TestTwoRegular:
         ds = two_regular_dataset(H2)
         assert ds.n == 4
         assert len(ds.observations) == 8
-        assert is_laminar(ds)
+        assert analyze(ds).laminar
         assert not satisfies_uniqueness(ds).ok
-        choices = set((c.row, c.col) for c in ds.choices())
+        choices = set((c.row, c.col) for c in distinct_choices(ds))
         # the -1 block (rows 3-4, cols 3-4) carries its off-diagonal
         assert {(3, 4), (4, 3)} <= choices
         assert {(3, 3), (4, 4)}.isdisjoint(choices)
@@ -165,8 +164,8 @@ class TestUniquenessVariant:
             variant = uniqueness_variant(two_regular_dataset(sylvester_hadamard(k)))
             n = variant.n
             assert satisfies_uniqueness(variant).ok
-            assert not is_laminar(variant)
-            assert crossing_span(variant) == n // 2
+            assert not analyze(variant).laminar
+            assert analyze(variant).crossing_span == n // 2
 
     def test_variant_is_rationalizable_with_bounded_rank(self):
         variant = uniqueness_variant(two_regular_dataset(H2))
@@ -230,7 +229,7 @@ class TestBlockDifference:
             elif trial % 3 == 1:
                 b = tuple(tuple(-Fraction(x) + 1 for x in row) for row in a)
             game = BimatrixGame(n, a, b)
-            c = game.total()
+            c = sum_matrix(game)
             blocks = range(0, n, 2)
             reference = sign_of(
                 [[c[r][s] - c[r][s + 1] - c[r + 1][s] + c[r + 1][s + 1] for s in blocks] for r in blocks]
@@ -264,7 +263,7 @@ class TestBlockDifference:
             for _ in "ab"
         )
         game = BimatrixGame(n, a, b)
-        c = game.total()
+        c = sum_matrix(game)
         blocks = range(0, n, 2)
         reference = sign_of(
             [[c[r][s] - c[r][s + 1] - c[r + 1][s] + c[r + 1][s + 1] for s in blocks] for r in blocks]

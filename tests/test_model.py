@@ -27,14 +27,14 @@ from ranklens import (
 )
 from ranklens import model
 
-from .generators import minor_rank, random_fraction_matrix, reference_corpus
+from .generators import distinct_choices, is_zero_sum, minor_rank, random_fraction_matrix, reference_corpus, sum_matrix
 
 
 class TestValidation:
     def test_canonical_two_observation_dataset(self, diag_dataset):
         assert diag_dataset.n == 2
         assert len(diag_dataset.observations) == 2
-        assert diag_dataset.choices() == (StrategyProfile(1, 1), StrategyProfile(2, 2))
+        assert distinct_choices(diag_dataset) == {StrategyProfile(1, 1), StrategyProfile(2, 2)}
 
     def test_choice_outside_subgame(self):
         with pytest.raises(ChoiceOutsideSubgame):
@@ -79,7 +79,6 @@ class TestValidation:
             rebuilt = DataSet(ds.n, tuple(shuffled))
             assert rebuilt.observations == tuple(sorted(shuffled)) == ds.observations
             assert rebuilt.subgames() == tuple(sorted({o.subgame for o in shuffled}))
-            assert rebuilt.choices() == tuple(sorted({o.choice for o in shuffled}))
             checked += 1
         assert checked == 957
 
@@ -140,20 +139,23 @@ class TestRationalizes:
 
 class TestRank:
     def test_rank_one_sum(self, known_rank_one_game):
-        assert known_rank_one_game.total() == (
-            (Fraction(4), Fraction(8)),
-            (Fraction(8), Fraction(16)),
-        )
+        assert sum_matrix(known_rank_one_game) == [[4, 8], [8, 16]]
         assert game_rank(known_rank_one_game) == 1
 
     def test_zero_sum_game(self):
         game = BimatrixGame.from_rows([[3, -1], [0, 5]], [[-3, 1], [0, -5]])
         assert game_rank(game) == 0
-        assert game.is_zero_sum
+        assert is_zero_sum(game)
 
     def test_full_rank(self):
         game = BimatrixGame.from_rows([[1, 1], [1, -1]], [[0, 0], [0, 0]])
         assert game_rank(game) == 2
+
+    def test_ragged_matrix_rejected_in_either_row_order(self):
+        for rows in ([[], [1]], [[1], []], [[1, 2], [3]]):
+            with pytest.raises(SizeMismatch):
+                rational_matrix_rank(rows)
+        assert rational_matrix_rank([]) == rational_matrix_rank([[], []]) == 0
 
     def test_rank_of_rational_entries(self):
         rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
@@ -202,7 +204,7 @@ class TestRank:
             a = random_fraction_matrix(rng, size)
             b = [[total[i][j] - a[i][j] for j in range(size)] for i in range(size)]
             game = BimatrixGame.from_rows(a, b)
-            assert game.total() == tuple(map(tuple, total))
+            assert sum_matrix(game) == total
             assert game_rank(game) == minor_rank(total) == rational_matrix_rank(total)
 
     def test_shared_and_separate_entry_objects_agree(self):
@@ -222,7 +224,7 @@ class TestRank:
             )
             assert len({id(x) for m in (separate.a, separate.b) for row in m for x in row}) == 2 * size * size
             assert separate == shared
-            assert game_rank(shared) == game_rank(separate) == rational_matrix_rank(shared.total())
+            assert game_rank(shared) == game_rank(separate) == rational_matrix_rank(sum_matrix(shared))
             assert game_to_text(shared) == game_to_text(separate)
 
     def test_game_rank_matches_bareiss_reference(self, monkeypatch):
@@ -280,7 +282,7 @@ class TestRank:
                         total[i] = list(total[i])
                         b[i] = tuple(Fraction(x) - y for x, y in zip(total[i], a[i]))
             game = BimatrixGame(size, tuple(a), tuple(b))
-            assert [list(map(Fraction, row)) for row in total] == [list(row) for row in game.total()]
+            assert total == sum_matrix(game)
             expected = rational_matrix_rank(total)
             calls.clear()
             assert game_rank(game) == expected, total

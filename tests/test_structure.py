@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import weakref
+from itertools import combinations
 from random import Random
 
 from hypothesis import given, settings
@@ -12,20 +13,18 @@ from ranklens import (
     Subgame,
     analyze,
     crossing_set,
-    crossing_span,
     dataset_from_text,
     dataset_to_text,
     dedupe_nested,
-    is_laminar,
     laminar_forest,
     satisfies_uniqueness,
-    subgames_cross,
     sylvester_hadamard,
     two_regular_dataset,
     uniqueness_variant,
     validate_dataset,
 )
 from .generators import (
+    grid_contains,
     naive_crossing_set,
     naive_dedupe_nested,
     naive_laminar_forest,
@@ -44,32 +43,43 @@ subgame_strategy = st.builds(
 )
 
 
+def pair_crossing(s: Subgame, t: Subgame) -> bool:
+    """Whether s and t cross, read from ``crossing_set`` of the dataset
+    with one observation on each: both subgames cross, or neither does."""
+    n = max(*s.rows, *s.cols, *t.rows, *t.cols)
+    ds = validate_dataset([((g.rows[0], g.cols[0]), g.rows, g.cols) for g in (s, t)], n)
+    crossing = crossing_set(ds)
+    assert crossing == naive_crossing_set(ds)
+    assert crossing in ((), ds.subgames())
+    return bool(crossing)
+
+
 class TestCrossing:
     def test_crossing_strips(self):
-        assert subgames_cross(Subgame((1, 2), (2,)), Subgame((2,), (1, 2)))
+        assert pair_crossing(Subgame((1, 2), (2,)), Subgame((2,), (1, 2)))
 
     def test_nested_do_not_cross(self):
-        assert not subgames_cross(Subgame((1, 2), (1, 2)), Subgame((2,), (2,)))
+        assert not pair_crossing(Subgame((1, 2), (1, 2)), Subgame((2,), (2,)))
 
     def test_disjoint_do_not_cross(self):
-        assert not subgames_cross(Subgame((1,), (1,)), Subgame((2,), (2,)))
+        assert not pair_crossing(Subgame((1,), (1,)), Subgame((2,), (2,)))
 
     @given(subgame_strategy, subgame_strategy)
     @settings(max_examples=120, deadline=None)
     def test_symmetric_and_irreflexive(self, s, t):
-        assert subgames_cross(s, t) == subgames_cross(t, s)
-        assert not subgames_cross(s, s)
-        assert subgames_cross(s, t) == naive_subgames_cross(s, t)
+        assert pair_crossing(s, t) == pair_crossing(t, s)
+        assert not pair_crossing(s, s)
+        assert pair_crossing(s, t) == naive_subgames_cross(s, t)
 
     def test_crossing_set_and_span(self, crossing_strips_dataset):
         crossing = crossing_set(crossing_strips_dataset)
         assert crossing == (Subgame((1, 2), (2,)), Subgame((2,), (1, 2)))
-        assert crossing_span(crossing_strips_dataset) == 1
+        assert analyze(crossing_strips_dataset).crossing_span == 1
 
     def test_laminar_dataset_has_empty_crossing_set(self, nested_dataset):
         assert crossing_set(nested_dataset) == ()
-        assert is_laminar(nested_dataset)
-        assert crossing_span(nested_dataset) == 0
+        assert analyze(nested_dataset).laminar
+        assert analyze(nested_dataset).crossing_span == 0
 
     def test_variant_spans(self):
         variant = uniqueness_variant(two_regular_dataset(sylvester_hadamard(1)))
@@ -102,7 +112,7 @@ class TestCrossing:
             ds = random_uniqueness_dataset(rng, rng.randint(2, 6))
             if not ds.observations:
                 continue
-            full_span = crossing_span(ds)
+            full_span = analyze(ds).crossing_span
             drop = rng.randrange(len(ds.observations))
             smaller = validate_dataset(
                 [
@@ -112,7 +122,7 @@ class TestCrossing:
                 ],
                 ds.n,
             )
-            assert crossing_span(smaller) <= full_span
+            assert analyze(smaller).crossing_span <= full_span
 
 
 class TestUniqueness:
@@ -146,46 +156,37 @@ class TestUniqueness:
         rng = Random(17)
         for _ in range(50):
             ds = random_laminar_unique_dataset(rng, rng.randint(1, 7))
-            assert is_laminar(ds)
+            assert analyze(ds).laminar
             assert satisfies_uniqueness(ds).ok
 
 
 class TestLaminarForest:
     def test_chain(self, nested_dataset):
-        forest = laminar_forest(nested_dataset)
-        assert len(forest) == 2
-        assert forest.height() == 2
-        outer = Subgame((1, 2), (1, 2))
-        inner = Subgame((2,), (2,))
-        assert forest.root_subgames() == (outer,)
-        assert forest.children_of(outer) == (inner,)
-        assert forest.parent_of(inner) == outer
-        assert forest.parent_of(outer) is None
+        assert nested_dataset.subgames() == (Subgame((1, 2), (1, 2)), Subgame((2,), (2,)))
+        assert laminar_forest(nested_dataset) == ((1,), ())
 
     def test_two_regular_blocks_are_roots(self):
-        forest = laminar_forest(two_regular_dataset(sylvester_hadamard(1)))
-        assert len(forest.roots) == 4
-        assert forest.height() == 1
+        assert laminar_forest(two_regular_dataset(sylvester_hadamard(1))) == ((),) * 4
 
     def test_forest_invariants(self):
         rng = Random(19)
         for _ in range(40):
             ds = random_laminar_unique_dataset(rng, rng.randint(2, 7))
-            forest = laminar_forest(ds)
-            for subgame in forest.subgames:
-                parent = forest.parent_of(subgame)
-                if parent is not None:
-                    assert parent.contains_subgame(subgame)
-                    assert parent != subgame
-                    # parent is the smallest strict container
-                    for other in forest.subgames:
-                        if other not in (subgame, parent) and other.contains_subgame(subgame):
-                            assert other.contains_subgame(parent)
-                children = forest.children_of(subgame)
-                for a_idx in range(len(children)):
-                    for b_idx in range(a_idx + 1, len(children)):
-                        a, b = children[a_idx], children[b_idx]
-                        assert not (set(a.rows) & set(b.rows)) or not (set(a.cols) & set(b.cols))
+            subgames, children = ds.subgames(), laminar_forest(ds)
+            parent = {child: node for node, kids in enumerate(children) for child in kids}
+            assert len(parent) == sum(map(len, children))
+            for position, subgame in enumerate(subgames):
+                containers = [other for other in subgames if other != subgame and grid_contains(other, subgame)]
+                if position not in parent:
+                    assert not containers
+                    continue
+                # The parent is the smallest strict container.
+                outer = subgames[parent[position]]
+                assert outer in containers
+                assert all(grid_contains(other, outer) for other in containers)
+            for kids in children:
+                for a, b in combinations((subgames[kid] for kid in kids), 2):
+                    assert not (set(a.rows) & set(b.rows)) or not (set(a.cols) & set(b.cols))
 
 
 class TestDedupe:
@@ -217,7 +218,7 @@ class TestDedupe:
             for obs in ds.observations:
                 if obs not in kept:
                     assert any(
-                        k.choice == obs.choice and k.subgame.contains_subgame(obs.subgame)
+                        k.choice == obs.choice and grid_contains(k.subgame, obs.subgame)
                         for k in kept
                     )
 
@@ -230,13 +231,7 @@ class TestIndexedMatchesPairwise:
             check = satisfies_uniqueness(ds)
             assert check == naive_satisfies_uniqueness(ds)
             violations += not check.ok
-            forest, reference = laminar_forest(ds), naive_laminar_forest(ds)
-            assert forest.subgames == reference.subgames
-            assert forest.parent_index == reference.parent_index
-            assert forest.children_index == reference.children_index
-            assert forest.roots == reference.roots
-            for subgame in forest.subgames:
-                assert forest.parent_of(subgame) == reference.parent_of(subgame)
+            assert laminar_forest(ds) == naive_laminar_forest(ds)
             assert dedupe_nested(ds) == naive_dedupe_nested(ds)
             checked += 1
         assert checked == 697 + 7 * 12 * 3 + 8
@@ -253,7 +248,7 @@ class TestClassificationMemo:
             warmed, fresh = dataset_from_text(text), dataset_from_text(text)
             report = analyze(warmed)
             assert analyze(warmed) is report
-            helpers = (is_laminar, crossing_span, crossing_set, satisfies_uniqueness, laminar_forest, dedupe_nested)
+            helpers = (crossing_set, satisfies_uniqueness, laminar_forest, dedupe_nested)
             for helper in helpers:
                 helper(warmed)
             assert "_classification" in vars(warmed)
