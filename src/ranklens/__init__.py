@@ -75,8 +75,6 @@ from .structure import (
     UniquenessCheck,
     analyze,
     crossing_set,
-    dedupe_nested,
-    laminar_forest,
     satisfies_uniqueness,
 )
 

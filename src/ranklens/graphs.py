@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Collection, Iterable
 
 from .model import BimatrixGame, DataSet, Observation
-from .structure import _classified, laminar_forest
+from .structure import _nesting
 
 # Vertex id ((row-1)*n + (col-1))*3 + t, with t = 0 for an intact vertex,
 # 1 for an R copy and 2 for a C copy. Integer order is the canonical vertex
@@ -69,34 +69,31 @@ def _edge_ids(n: int, observations: Iterable[Observation], split: Collection[int
 
 def _strong_edge_ids(dataset: DataSet) -> list[tuple[int, int]]:
     """Id pairs of the strongly implementing graph of a laminar dataset
-    with unique, deduplicated choices.
+    with unique choices.
 
-    The caller guarantees all three (``rationalize_zero_sum`` checks
-    laminarity and uniqueness, and ``dedupe_nested`` then leaves pairwise
-    distinct choices). Per observation ((i,j), X, Y) with children taken
-    from the containment forest: besides the implement edges, every vertex
-    of a child containing row i gets a column edge toward column j, and
-    every other off-choice vertex gets a row edge from row i. The result is
-    acyclic and pins the observed choice as the unique strict equilibrium
-    of each subgame once payoffs are assigned by levels.
+    The caller guarantees both (``rationalize_zero_sum`` checks them).
+    Per observation ((i,j), X, Y) that the containment forest keeps, with
+    its children there (see ``structure._nesting``): besides the implement
+    edges, every vertex of a child containing row i gets a column edge
+    toward column j, and every other off-choice vertex gets a row edge from
+    row i. The result is acyclic and pins the observed choice as the unique
+    strict equilibrium of each subgame once payoffs are assigned by levels.
     """
     n = dataset.n
-    children, memo = laminar_forest(dataset), _classified(dataset)
     pairs: list[tuple[int, int]] = []
-    for obs, position in zip(dataset.observations, memo.positions):
+    for obs, children in _nesting(dataset):
         (i, j), subgame = obs.choice, obs.subgame
         # Cells and rows of the children that hold row i; sibling grids
         # are disjoint.
         row_side: set[int] = set()
         side_rows: set[int] = set()
-        for child in children[position]:
-            grid = memo.subgames[child]
+        for grid in children:
             if i in grid.rows:
                 row_side.update((r - 1) * n + c - 1 for r in grid.rows for c in grid.cols)
                 side_rows.update(grid.rows)
         choice = (i - 1) * n + j - 1
         # A child grid holding the choice would collide with uniqueness
-        # plus deduplication.
+        # plus the skip of same-choice grids.
         assert choice not in row_side
         # Row i and the row side get column edges toward column j, every
         # other vertex a row edge from row i; row i's column edges and

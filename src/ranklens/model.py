@@ -199,7 +199,7 @@ def _checked_dataset(triples: Sequence[tuple], n: int) -> DataSet | None:
     """
     if type(n) is not int or n < 1:
         return None
-    choices, row_sets, col_sets = zip(*triples)
+    choices, row_sets, col_sets = zip(*triples) if triples else ((), (), ())
     if not {int}.issuperset(map(type, chain.from_iterable(chain(choices, row_sets, col_sets)))):
         return None
     canonical = {axis: tuple(sorted(set(axis))) for axis in {*row_sets, *col_sets}}
@@ -241,12 +241,13 @@ def validate_dataset(
     """Build a canonical DataSet from ((row, col), rows, cols) triples.
 
     Raises EmptySubgame, ChoiceOutsideSubgame, InvalidSize, or
-    IndexOutOfRange on the first offending triple.
+    IndexOutOfRange on the first offending triple; n and every index must
+    be an int.
 
-    Each rows and cols iterable is read once. Integer data is checked in
-    one bulk pass; when that pass fails, or the data holds anything but
-    ints, the triples go through the per-object constructors, which raise
-    the error (or build the dataset) that they always have.
+    Each rows and cols iterable is read once. The data is checked and
+    built in one bulk pass. When that pass fails, the per-object
+    constructors run to raise the error that they always have; data that
+    they accept holds a non-int, and the first one is refused.
     """
     triples = []
     failure = None
@@ -258,8 +259,21 @@ def validate_dataset(
     if failure is not None:
         _observations(triples)  # an earlier triple's error comes first
         raise failure
-    dataset = _checked_dataset(triples, n) if triples else None
-    return dataset if dataset is not None else DataSet(n, _observations(triples))
+    dataset = _checked_dataset(triples, n)
+    if dataset is None:
+        DataSet(n, _observations(triples))  # the constructors' error comes first
+        raise _non_int(triples, n)
+    return dataset
+
+
+def _non_int(triples: Sequence[tuple], n) -> InvalidSize | IndexOutOfRange:
+    """The error for the first non-int: n, else an index in input order."""
+    if type(n) is not int:
+        return InvalidSize(f"game size must be an int, got {n!r}")
+    index, choice, rows, cols = next(
+        (index, *triple) for triple in triples for index in chain(*triple) if type(index) is not int
+    )
+    return IndexOutOfRange(f"index {index!r} is not an int in observation {Observation(choice, Subgame(rows, cols))}")
 
 
 @dataclass(frozen=True)

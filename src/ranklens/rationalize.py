@@ -30,7 +30,7 @@ from .model import (
     game_rank,
     rationalizes,
 )
-from .structure import StructureReport, analyze, dedupe_nested
+from .structure import StructureReport, analyze
 
 
 @dataclass(frozen=True)
@@ -193,16 +193,16 @@ def _require_uniqueness(report: StructureReport) -> None:
 def rationalize_zero_sum(dataset: DataSet) -> RationalizationCertificate:
     """Zero-sum rationalization of a laminar uniqueness dataset.
 
-    Builds the strongly implementing graph on the deduplicated dataset and
-    prices it by levels; the observed choice is then the unique strict
-    equilibrium of every observed subgame.
+    Builds the strongly implementing graph on the dataset's containment
+    forest and prices it by levels; the observed choice is then the unique
+    strict equilibrium of every observed subgame.
     """
     report = analyze(dataset)
     if not report.laminar:
         raise NotLaminar("dataset has crossing subgames")
     _require_uniqueness(report)
     n = dataset.n
-    levels, cycle = _sweep(_strong_edge_ids(dedupe_nested(dataset)))
+    levels, cycle = _sweep(_strong_edge_ids(dataset))
     # The graph has edges beyond the inequalities that _certify tests, so
     # a cycle here would not be caught there.
     if cycle is not None:

@@ -6,17 +6,17 @@ a containment forest. The crossing span (min of row and column span of
 the crossing subgames' observed choices) calibrates how far a dataset is
 from admitting a zero-sum rationalization.
 
-Classification works on bitmask grids: every subgame's rows and columns
-become two int bitmasks, so intersection and containment are a few
-integer operations. One int index of the subgames, by row set and then
-column, answers two queries: which grids meet a grid, and which grids
-contain it. `crossing_set` reads the first, and `satisfies_uniqueness`,
-`laminar_forest` and `dedupe_nested` read the second, so a subgame or an
-observation is tested only against the grids that meet or contain its
-own, never against every pair. The masks, the index, the crossing set
-and the report are computed once per dataset and kept on it beside its
-fields (see ``_Classification``), so every helper and route reuses one
-classification.
+Classification works on set grids: every subgame's rows and columns
+become two frozensets, shared by the subgames with the same axis, so
+intersection and containment are set tests. One index of the subgames,
+by row set and then column, answers two queries: which grids meet a
+grid, and which grids contain it. `crossing_set` reads the first;
+`satisfies_uniqueness` and the zero-sum route's nesting pass read the
+second, so a subgame or an observation is tested only against the grids
+that meet or contain its own, never against every pair. The grids, the
+index, the containers, the crossing set and the report are computed once
+per dataset and kept on it beside its fields (see ``_Classification``),
+so every helper and route reuses one classification.
 """
 
 from __future__ import annotations
@@ -29,32 +29,21 @@ from functools import cached_property
 from .model import DataSet, Observation, StrategyProfile, Subgame
 
 
-def _bits(indices) -> int:
-    """Bit i set for each index i, read by int() from one binary digit per
-    index up to the largest, so the time is linear in that index."""
-    top, one = max(indices), ord("1")
-    digits = bytearray(b"0") * (top + 1)
-    for index in indices:
-        digits[top - index] = one
-    return int(digits, 2)
-
-
 class _GridIndex:
     """The subgames' grids, indexed by row set, then column.
 
     Row sets are numbered in sorted order. ``rows_through[row]`` lists the
     numbers of the row sets that hold the row, and ``by_rows[number][col]``
     lists the positions of the subgames with that row set whose columns
-    hold col. ``masks[position]`` is the subgame's grid as two bitmasks.
+    hold col.
     """
 
-    def __init__(self, subgames: tuple[Subgame, ...], masks: list[tuple[int, int]]) -> None:
-        self.masks = masks
+    def __init__(self, subgames: tuple[Subgame, ...]) -> None:
         self.rows_through: dict[int, list[int]] = defaultdict(list)
         self.by_rows: list[dict[int, list[int]]] = []
         for position, subgame in enumerate(subgames):
             # Sorted subgames hold each row set in one run.
-            if not position or masks[position][0] != masks[position - 1][0]:
+            if not position or subgame.rows != subgames[position - 1].rows:
                 for row in subgame.rows:
                     self.rows_through[row].append(len(self.by_rows))
                 self.by_rows.append(defaultdict(list))
@@ -72,22 +61,12 @@ class _GridIndex:
                 positions.update(by_col[col])
         return positions
 
-    def containers(self, subgame: Subgame, position: int):
-        """Positions of the subgames whose grids contain this one's, itself
-        included. A container holds the first row and the first column."""
-        rows_s, cols_s = self.masks[position]
-        for number in self.rows_through[subgame.rows[0]]:
-            for other in self.by_rows[number].get(subgame.cols[0], ()):
-                rows, cols = self.masks[other]
-                if rows & rows_s == rows_s and cols & cols_s == cols_s:
-                    yield other
-
 
 class _Classification:
     """What classifying a DataSet computes once: the sorted subgames, their
-    bitmask grids, the grid of each observation (as a subgame position),
-    and, once asked, the grid index, the crossing set and the structure
-    report.
+    grids as pairs of frozensets, the grid of each observation (as a
+    subgame position), and, once asked, the grid index, each grid's strict
+    containers, the crossing set and the structure report.
 
     One instance is kept on the dataset, beside its fields (see
     ``_classified``). It refers back to the dataset weakly, so a dataset
@@ -97,18 +76,34 @@ class _Classification:
     def __init__(self, dataset: DataSet) -> None:
         self._dataset = weakref.ref(dataset)
         self.subgames = subgames = dataset.subgames()
-        bits: dict[tuple[int, ...], int] = {}
+        axes: dict[tuple[int, ...], frozenset[int]] = {}
         for subgame in subgames:
             for axis in (subgame.rows, subgame.cols):
-                if axis not in bits:
-                    bits[axis] = _bits(axis)
-        self.masks = [(bits[s.rows], bits[s.cols]) for s in subgames]
+                if axis not in axes:
+                    axes[axis] = frozenset(axis)
+        self.grids = [(axes[s.rows], axes[s.cols]) for s in subgames]
         position = {(s.rows, s.cols): p for p, s in enumerate(subgames)}
         self.positions = [position[obs.subgame.rows, obs.subgame.cols] for obs in dataset.observations]
 
     @cached_property
     def index(self) -> _GridIndex:
-        return _GridIndex(self.subgames, self.masks)
+        return _GridIndex(self.subgames)
+
+    @cached_property
+    def outer(self) -> list[list[int]]:
+        """Positions of each grid's strict containers. A container holds
+        the grid's first row and first column, so the index lists it."""
+        index, grids = self.index, self.grids
+        outer = []
+        for position, subgame in enumerate(self.subgames):
+            rows_s, cols_s = grids[position]
+            outer.append([
+                other
+                for number in index.rows_through[subgame.rows[0]]
+                for other in index.by_rows[number].get(subgame.cols[0], ())
+                if other != position and rows_s <= grids[other][0] and cols_s <= grids[other][1]
+            ])
+        return outer
 
     @cached_property
     def crossing(self) -> tuple[Subgame, ...]:
@@ -135,16 +130,15 @@ def crossing_set(dataset: DataSet) -> tuple[Subgame, ...]:
     grids the index finds meeting it; a crossing marks both subgames.
     """
     memo = _classified(dataset)
-    subgames, masks, index = memo.subgames, memo.masks, memo.index
+    subgames, grids, index = memo.subgames, memo.grids, memo.index
     crossing = [False] * len(subgames)
     for position, subgame in enumerate(subgames):
         if crossing[position]:
             continue
-        rows_s, cols_s = masks[position]
+        rows_s, cols_s = grids[position]
         for other in index.meeting(subgame):
-            rows_t, cols_t = masks[other]
-            rows, cols = rows_s & rows_t, cols_s & cols_t
-            if (rows != rows_s or cols != cols_s) and (rows != rows_t or cols != cols_t):
+            rows_t, cols_t = grids[other]
+            if not (rows_s <= rows_t and cols_s <= cols_t) and not (rows_t <= rows_s and cols_t <= cols_s):
                 crossing[position] = crossing[other] = True
                 break
     return tuple(s for s, crosses in zip(subgames, crossing) if crosses)
@@ -187,15 +181,16 @@ def satisfies_uniqueness(dataset: DataSet) -> UniquenessCheck:
         if prior != position:
             return UniquenessCheck(False, (observations[prior], observations[position]))
     # Each grid now has one observation, its owner, so the outer observations
-    # of an inner one are the owners of its grid's containers. The first
-    # violating pair in observation order is the least (outer, inner) pair.
+    # of an inner one are the owners of its grid's strict containers. The
+    # first violating pair in observation order is the least (outer, inner)
+    # pair.
     first: tuple[int, int] | None = None
     for inner_position, (inner, grid) in enumerate(zip(observations, memo.positions)):
-        rows_i, cols_i = memo.masks[grid]
-        for container in memo.index.containers(memo.subgames[grid], grid):
+        rows_i, cols_i = memo.grids[grid]
+        for container in memo.outer[grid]:
             outer_position = owner[container]
             row, col = choice = observations[outer_position].choice
-            if choice != inner.choice and rows_i >> row & 1 and cols_i >> col & 1:
+            if choice != inner.choice and row in rows_i and col in cols_i:
                 pair = (outer_position, inner_position)
                 if first is None or pair < first:
                     first = pair
@@ -233,43 +228,26 @@ def _report(dataset: DataSet, crossing: tuple[Subgame, ...]) -> StructureReport:
     )
 
 
-def laminar_forest(dataset: DataSet) -> tuple[tuple[int, ...], ...]:
-    """The containment forest of a laminar dataset's distinct subgames, as
-    the children of each position of ``dataset.subgames()``.
+def _nesting(dataset: DataSet) -> list[tuple[Observation, list[Subgame]]]:
+    """The containment forest that the zero-sum route prices: the
+    observation of each kept grid, in subgame order, with the subgames of
+    its kept children.
 
-    The parent of a subgame is the smallest subgame strictly containing
-    it; sibling grids are pairwise disjoint. The caller guarantees
-    laminarity; on crossing data the result is not a containment forest.
+    A grid is skipped when a strict container holds the same choice, and
+    a kept grid's parent is its smallest kept strict container. The
+    caller guarantees laminarity and uniqueness, so each grid has one
+    observation, the containers of a grid form a chain, and the kept
+    choices are pairwise distinct.
     """
     memo = _classified(dataset)
-    subgames, index = memo.subgames, memo.index
-    children: list[list[int]] = [[] for _ in subgames]
-    for position, s in enumerate(subgames):
-        containers = [(subgames[i].grid_size(), i) for i in index.containers(s, position) if i != position]
-        # Laminarity makes the containers a chain, so the smallest is unique.
+    subgames, outer = memo.subgames, memo.outer
+    owner = dict(zip(memo.positions, dataset.observations))
+    children: dict[int, list[Subgame]] = {
+        grid: [] for grid in range(len(subgames))
+        if all(owner[other].choice != owner[grid].choice for other in outer[grid])
+    }
+    for grid in children:
+        containers = [(subgames[other].grid_size(), other) for other in outer[grid] if other in children]
         if containers:
-            children[min(containers)[1]].append(position)
-    return tuple(map(tuple, children))
-
-
-def dedupe_nested(dataset: DataSet) -> DataSet:
-    """Drop observations subsumed by a same-choice observation on a larger grid.
-
-    The caller guarantees laminarity and uniqueness. In the result,
-    observed choices are pairwise distinct: same-choice subgames are nested
-    under laminarity, and only the outermost survives.
-    """
-    memo = _classified(dataset)
-    chosen: list[set[StrategyProfile]] = [set() for _ in memo.subgames]
-    for obs, grid in zip(dataset.observations, memo.positions):
-        chosen[grid].add(obs.choice)
-    kept = []
-    for obs, grid in zip(dataset.observations, memo.positions):
-        subsumed = any(
-            obs.choice in chosen[container]
-            for container in memo.index.containers(memo.subgames[grid], grid)
-            if container != grid
-        )
-        if not subsumed:
-            kept.append(obs)
-    return DataSet(dataset.n, tuple(kept))
+            children[min(containers)[1]].append(subgames[grid])
+    return [(owner[grid], kids) for grid, kids in children.items()]

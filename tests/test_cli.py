@@ -442,3 +442,28 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout.endswith('{"failures":[],"rank":2,"rationalizes":true}\n1\n')
+
+
+class TestHugeIndices:
+    def test_a_huge_index_is_classified_in_little_memory(self, write):
+        # Classification memory follows the indices used, not the largest
+        # index: under a 1 GB address-space cap, a grid at row 10^12
+        # analyzes as laminar, unique and rationalizable.
+        resource = pytest.importorskip("resource")
+        data = write("huge.json", '{"n":1000000000000,"observations":[{"choice":[1000000000000,1],'
+                                  '"rows":[1000000000000],"cols":[1]}]}')
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-c", "from ranklens.cli import run; run()", "analyze", data],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            '{"col_span":0,"crossing_choices":[],"crossing_span":0,"crossing_subgames":[],'
+            '"laminar":true,"rationalizable":true,"row_span":0,"uniqueness":true}\n'
+        )

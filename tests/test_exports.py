@@ -25,8 +25,7 @@ PUBLIC_NAMES = {
     "rationalize_auto", "rationalize_bounded_rank", "rationalize_general", "rationalize_rank_one",
     "rationalize_zero_sum",
     # structure
-    "StructureReport", "UniquenessCheck", "analyze", "crossing_set", "dedupe_nested", "laminar_forest",
-    "satisfies_uniqueness",
+    "StructureReport", "UniquenessCheck", "analyze", "crossing_set", "satisfies_uniqueness",
 }
 
 
@@ -35,5 +34,5 @@ def test_public_names_are_the_documented_surface():
         name for name, value in vars(ranklens).items()
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
-    assert len(PUBLIC_NAMES) == 66
+    assert len(PUBLIC_NAMES) == 64
     assert exported == PUBLIC_NAMES

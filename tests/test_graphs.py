@@ -11,12 +11,10 @@ from ranklens import (
     RanklensError,
     StrategyProfile,
     analyze,
-    dedupe_nested,
     game_from_text,
     game_rank,
     game_to_text,
     is_rationalizable,
-    laminar_forest,
     rationalize_auto,
     rationalize_bounded_rank,
     rationalize_general,
@@ -28,9 +26,11 @@ from ranklens import (
     zero_sum_feasible,
 )
 from ranklens.graphs import _cells, _coordinates, _cycle_text, _edge_ids, _payoffs, _strong_edge_ids, _sweep
+from ranklens.structure import _nesting
 from .generators import (
     _canonical,
     is_zero_sum,
+    naive_dedupe_nested,
     naive_is_acyclic,
     naive_topological_levels,
     naive_vertices,
@@ -123,32 +123,42 @@ class TestStrongLaminarGraph:
 
     def test_strong_graph_is_acyclic_on_laminar_uniqueness_data(self):
         """What the zero-sum route relies on without checking it at run
-        time: on laminar uniqueness data, dedupe_nested leaves pairwise
-        distinct choices, no child grid holds its parent's choice, and the
-        strong graph is acyclic."""
+        time: on laminar uniqueness data, the grids that the nesting pass
+        keeps have pairwise distinct choices, no child grid holds its
+        parent's choice, and the strong graph is acyclic."""
         rng = Random(59)
         corpus = [ds for ds in reference_corpus() if analyze(ds).laminar and analyze(ds).uniqueness]
         draws = [random_laminar_unique_dataset(rng, n) for n in range(2, 13) for _ in range(20)]
         for ds in corpus + draws:
             assert analyze(ds).laminar and analyze(ds).uniqueness
-            deduped = dedupe_nested(ds)
-            choices = [obs.choice for obs in deduped.observations]
+            kept = _nesting(ds)
+            choices = [obs.choice for obs, _ in kept]
             assert len(set(choices)) == len(choices)
-            subgames, children = deduped.subgames(), laminar_forest(deduped)
-            for obs in deduped.observations:
-                kids = children[subgames.index(obs.subgame)]
-                assert not any(subgames[kid].contains(obs.choice) for kid in kids)
-            assert _sweep(_strong_edge_ids(deduped))[1] is None
+            for obs, children in kept:
+                assert not any(child.contains(obs.choice) for child in children)
+            assert _sweep(_strong_edge_ids(ds))[1] is None
         assert len(corpus) > 100 and len(draws) >= 200
+
+    def test_strong_graph_of_the_deduplicated_dataset(self):
+        """The nesting pass skips what deduplication drops: the strong
+        graph has the edges of the deduplicated dataset's graph."""
+        rng = Random(61)
+        corpus = [ds for ds in reference_corpus() if analyze(ds).laminar and analyze(ds).uniqueness]
+        draws = [random_laminar_unique_dataset(rng, n) for n in range(2, 13) for _ in range(20)]
+        skipped = 0
+        for ds in corpus + draws:
+            deduped = naive_dedupe_nested(ds)
+            assert set(_strong_edge_ids(ds)) == set(_strong_edge_ids(deduped))
+            skipped += deduped != ds
+        assert skipped > 50
 
     def test_strong_implementation(self):
         rng = Random(29)
         for _ in range(30):
             ds = random_laminar_unique_dataset(rng, rng.randint(2, 6))
-            deduped = dedupe_nested(ds)
-            n, pairs = ds.n, _strong_edge_ids(deduped)
+            n, pairs = ds.n, _strong_edge_ids(ds)
             assert _sweep(pairs)[1] is None
-            rows, cols = _edge_ids(n, deduped.observations)
+            rows, cols = _edge_ids(n, [obs for obs, _ in _nesting(ds)])
             assert rows | cols <= set(pairs)
             game = _payoffs(n, _sweep(pairs)[0])
             assert is_zero_sum(game)
@@ -170,7 +180,7 @@ class TestLevels:
     def test_every_edge_descends(self):
         rng = Random(31)
         for _ in range(20):
-            ds = dedupe_nested(random_laminar_unique_dataset(rng, rng.randint(2, 6)))
+            ds = random_laminar_unique_dataset(rng, rng.randint(2, 6))
             pairs = _strong_edge_ids(ds)
             levels = _sweep(pairs)[0]
             for src, dst in pairs:
@@ -261,7 +271,7 @@ def _sweep_graphs():
         splits = [set(), _cells(n, report.crossing_choices), set(range(n * n))]
         parts = [(_edge_ids(n, ds.observations, split), split) for split in splits]
         if report.laminar and report.uniqueness:
-            strong = _strong_edge_ids(dedupe_nested(ds))
+            strong = _strong_edge_ids(ds)
             # A row edge keeps its column.
             rows = {(src, dst) for src, dst in strong if (src // 3 - dst // 3) % n == 0}
             parts.append(((rows, set(strong) - rows), set()))
@@ -382,7 +392,7 @@ def _check_against_dense_references(ds, results):
                            witness)
     report = analyze(ds)
     if report.laminar and report.uniqueness:
-        pairs = _strong_edge_ids(dedupe_nested(ds))
+        pairs = _strong_edge_ids(ds)
         assert zero_sum[4] == priced(n, naive_topological_levels(n, pairs, ()), ())
     if report.uniqueness:
         pairs, split = crossing_split_pairs(ds)

@@ -338,8 +338,9 @@ def as_generators(triples):
 
 
 class TestBulkValidation:
-    """validate_dataset checks integer data in one bulk pass and falls back
-    to per-object construction; both must give the same dataset or error."""
+    """validate_dataset checks and builds integer data in one bulk pass.
+    When that pass fails, it raises the error of per-object construction,
+    or, where the constructors accept the data, refuses its first non-int."""
 
     def test_valid_corpus_matches_per_object_construction(self):
         rng = Random(83)
@@ -371,7 +372,11 @@ class TestBulkValidation:
             triples = random_triples(rng, n)
             make = (lambda: list(triples)) if rng.random() < 0.5 else as_generators(triples)
             bulk = outcome(validate_dataset, make, n)
-            assert bulk == outcome(per_object_dataset, make, n), (triples, n)
+            reference = outcome(per_object_dataset, make, n)
+            if reference[0] == "ok" and type(n) is not int:
+                # A non-int n that the constructors accept is refused.
+                reference = ("error", InvalidSize, f"game size must be an int, got {n!r}")
+            assert bulk == reference, (triples, n)
             errors[bulk[1].__name__ if bulk[0] == "error" else "ok"] += 1
         assert set(errors) == {"ok", "EmptySubgame", "ChoiceOutsideSubgame", "IndexOutOfRange",
                                "InvalidSize", "TypeError"}, errors
@@ -416,18 +421,21 @@ class TestBulkValidation:
             assert bulk == per_object_dataset(triples, 2)
             assert [obs.subgame for obs in bulk.observations] == [Subgame((1,), (1, 2)), Subgame((1, 2), (1,))]
 
-    def test_data_other_than_ints_takes_per_object_construction(self):
-        # Whatever the constructors accept is still accepted, unchanged.
-        for triples, n in (
-            ([((1, 1), (1.0, 2), (1,))], 2),
-            ([((True, 1), (1,), (1,))], 2),
-            ([((1, 1), (1,), (1,))], 2.0),
-            ([((1, 1), (1,), (1,))], True),
+    def test_data_other_than_ints_is_refused(self):
+        # The constructors accept these, but the dataset would hold a
+        # non-int, which no document can carry.
+        for triples, n, error, message in (
+            ([((True, 1), (1,), (1,))], 2, IndexOutOfRange, "index True is not an int in observation ((True,1),{1}x{1})"),
+            ([((1, 1), (1,), (1, True))], 2, IndexOutOfRange, "index True is not an int in observation ((1,1),{1}x{1})"),
+            ([((1, 1), (1,), (1,)), ((1, 1), (1.0, 2), (1,))], 2, IndexOutOfRange,
+             "index 1.0 is not an int in observation ((1,1),{1.0,2}x{1})"),
+            ([((1, 1), (1,), (1,))], 2.0, InvalidSize, "game size must be an int, got 2.0"),
+            ([((1, 1), (1,), (1,))], True, InvalidSize, "game size must be an int, got True"),
+            ([], 2.0, InvalidSize, "game size must be an int, got 2.0"),
         ):
-            bulk = validate_dataset(triples, n)
-            reference = per_object_dataset(triples, n)
-            assert bulk == reference
-            assert repr(bulk) == repr(reference)
+            assert outcome(per_object_dataset, lambda: triples, n)[0] == "ok"
+            for make in (lambda: list(triples), as_generators(triples)):
+                assert outcome(validate_dataset, make, n) == ("error", error, message)
 
     def test_grids_are_shared(self):
         ds = validate_dataset([((1, 1), (1, 2), (1, 2)), ((2, 2), (2, 1), (1, 2))], 2)

@@ -15,14 +15,16 @@ from ranklens import (
     crossing_set,
     dataset_from_text,
     dataset_to_text,
-    dedupe_nested,
-    laminar_forest,
+    rationalize_zero_sum,
     satisfies_uniqueness,
     sylvester_hadamard,
     two_regular_dataset,
     uniqueness_variant,
     validate_dataset,
 )
+from ranklens import structure
+from ranklens.structure import _classified, _nesting
+
 from .generators import (
     grid_contains,
     naive_crossing_set,
@@ -160,36 +162,54 @@ class TestUniqueness:
             assert satisfies_uniqueness(ds).ok
 
 
+def forest(ds) -> dict:
+    """The zero-sum route's nesting pass by subgame: each kept
+    observation's subgame mapped to its children's subgames."""
+    return {obs.subgame: children for obs, children in _nesting(ds)}
+
+
 class TestLaminarForest:
+    """The containment forest of the kept grids, from ``_nesting``."""
+
     def test_chain(self, nested_dataset):
         assert nested_dataset.subgames() == (Subgame((1, 2), (1, 2)), Subgame((2,), (2,)))
-        assert laminar_forest(nested_dataset) == ((1,), ())
+        assert _nesting(nested_dataset) == [
+            (nested_dataset.observations[0], [Subgame((2,), (2,))]),
+            (nested_dataset.observations[1], []),
+        ]
 
     def test_two_regular_blocks_are_roots(self):
-        assert laminar_forest(two_regular_dataset(sylvester_hadamard(1))) == ((),) * 4
+        # One observation per block keeps the blocks' uniqueness.
+        blocks = {obs.subgame: obs for obs in two_regular_dataset(sylvester_hadamard(1)).observations}
+        ds = validate_dataset([(o.choice, o.subgame.rows, o.subgame.cols) for o in blocks.values()], 4)
+        assert forest(ds) == {subgame: [] for subgame in ds.subgames()}
 
     def test_forest_invariants(self):
         rng = Random(19)
         for _ in range(40):
             ds = random_laminar_unique_dataset(rng, rng.randint(2, 7))
-            subgames, children = ds.subgames(), laminar_forest(ds)
-            parent = {child: node for node, kids in enumerate(children) for child in kids}
-            assert len(parent) == sum(map(len, children))
-            for position, subgame in enumerate(subgames):
-                containers = [other for other in subgames if other != subgame and grid_contains(other, subgame)]
-                if position not in parent:
+            children = forest(ds)
+            kept = list(children)
+            parent = {child: node for node, kids in children.items() for child in kids}
+            assert len(parent) == sum(map(len, children.values()))
+            for subgame in kept:
+                containers = [other for other in kept if other != subgame and grid_contains(other, subgame)]
+                if subgame not in parent:
                     assert not containers
                     continue
-                # The parent is the smallest strict container.
-                outer = subgames[parent[position]]
+                # The parent is the smallest kept strict container.
+                outer = parent[subgame]
                 assert outer in containers
                 assert all(grid_contains(other, outer) for other in containers)
-            for kids in children:
-                for a, b in combinations((subgames[kid] for kid in kids), 2):
+            for kids in children.values():
+                for a, b in combinations(kids, 2):
                     assert not (set(a.rows) & set(b.rows)) or not (set(a.cols) & set(b.cols))
 
 
 class TestDedupe:
+    """The grids that ``_nesting`` skips: a strict container holds the
+    same choice."""
+
     def test_nested_same_choice_keeps_outermost(self):
         ds = validate_dataset(
             [
@@ -199,22 +219,19 @@ class TestDedupe:
             ],
             3,
         )
-        deduped = dedupe_nested(ds)
-        assert len(deduped.observations) == 1
-        assert deduped.observations[0].subgame == Subgame((1, 2, 3), (1, 2, 3))
+        assert forest(ds) == {Subgame((1, 2, 3), (1, 2, 3)): []}
 
     def test_distinct_choices_unchanged(self, nested_dataset):
-        assert dedupe_nested(nested_dataset) == nested_dataset
+        assert [obs for obs, _ in _nesting(nested_dataset)] == list(nested_dataset.observations)
 
     def test_result_has_distinct_choices(self):
         rng = Random(23)
         for _ in range(40):
             ds = random_laminar_unique_dataset(rng, rng.randint(2, 7))
-            deduped = dedupe_nested(ds)
-            choices = [o.choice for o in deduped.observations]
+            kept = [obs for obs, _ in _nesting(ds)]
+            choices = [o.choice for o in kept]
             assert len(choices) == len(set(choices))
-            # every dropped observation is nested in a kept one with the same choice
-            kept = set(deduped.observations)
+            # every skipped observation is nested in a kept one with the same choice
             for obs in ds.observations:
                 if obs not in kept:
                     assert any(
@@ -225,17 +242,27 @@ class TestDedupe:
 
 class TestIndexedMatchesPairwise:
     def test_classification_equals_pairwise_reference(self):
-        checked = violations = 0
+        checked = violations = nested = 0
         for ds in reference_corpus():
             assert crossing_set(ds) == naive_crossing_set(ds)
             check = satisfies_uniqueness(ds)
             assert check == naive_satisfies_uniqueness(ds)
             violations += not check.ok
-            assert laminar_forest(ds) == naive_laminar_forest(ds)
-            assert dedupe_nested(ds) == naive_dedupe_nested(ds)
+            if check.ok and not crossing_set(ds):
+                # The nesting pass against the forest of the deduplicated
+                # dataset, matched by subgame.
+                deduped = naive_dedupe_nested(ds)
+                subgames = deduped.subgames()
+                expected = {
+                    subgames[node]: [subgames[kid] for kid in kids]
+                    for node, kids in enumerate(naive_laminar_forest(deduped))
+                }
+                assert forest(ds) == expected
+                assert [obs for obs, _ in _nesting(ds)] == sorted(deduped.observations, key=lambda o: o.subgame)
+                nested += 1
             checked += 1
         assert checked == 697 + 7 * 12 * 3 + 8
-        assert violations > 100
+        assert violations > 100 and nested > 100
 
 
 class TestClassificationMemo:
@@ -248,9 +275,9 @@ class TestClassificationMemo:
             warmed, fresh = dataset_from_text(text), dataset_from_text(text)
             report = analyze(warmed)
             assert analyze(warmed) is report
-            helpers = (crossing_set, satisfies_uniqueness, laminar_forest, dedupe_nested)
-            for helper in helpers:
+            for helper in (crossing_set, satisfies_uniqueness):
                 helper(warmed)
+            assert _classified(warmed).outer is not None
             assert "_classification" in vars(warmed)
             assert warmed == fresh and hash(warmed) == hash(fresh)
             assert repr(warmed) == repr(fresh)
@@ -265,7 +292,7 @@ class TestClassificationMemo:
         # The memo refers back to its dataset weakly: no reference cycle.
         ds = uniqueness_variant(two_regular_dataset(sylvester_hadamard(2)))
         analyze(ds)
-        laminar_forest(ds)
+        assert _classified(ds).outer is not None
         freed = weakref.ref(ds)
         gc.disable()
         try:
@@ -273,3 +300,16 @@ class TestClassificationMemo:
             assert freed() is None
         finally:
             gc.enable()
+
+    def test_the_zero_sum_route_reuses_the_classification(self, nested_dataset, monkeypatch):
+        made = []
+        init = structure._Classification.__init__
+
+        def counted(memo, dataset):
+            made.append(dataset)
+            init(memo, dataset)
+
+        monkeypatch.setattr(structure._Classification, "__init__", counted)
+        analyze(nested_dataset)
+        rationalize_zero_sum(nested_dataset)
+        assert made == [nested_dataset]
