@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
 from operator import add
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     ChoiceOutsideSubgame,
@@ -79,24 +79,38 @@ class StrategyProfile(NamedTuple):
         return f"({self.row},{self.col})"
 
 
-@dataclass(frozen=True, order=True)
-class Subgame:
-    """Restriction of a game to row set x column set.
+def _check_ints(indices: tuple, where: Callable[[], str]) -> None:
+    """Raise IndexOutOfRange naming the first index that is not an int (a
+    bool is not); where() names the object, and is called only then."""
+    if not {int}.issuperset(map(type, indices)):
+        index = next(x for x in indices if type(x) is not int)
+        raise IndexOutOfRange(f"index {index!r} is not an int in {where()}")
 
-    Index sets are stored sorted ascending without duplicates, so equality
-    is set equality and the lexicographic dataclass order is canonical.
-    """
 
+# typing.NamedTuple refuses a __new__ in the class body, so each value type
+# below subclasses a bare field tuple and checks its arguments in __new__.
+class _SubgameFields(NamedTuple):
     rows: tuple[int, ...]
     cols: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(sorted(set(self.rows)))
-        cols = tuple(sorted(set(self.cols)))
+
+class Subgame(_SubgameFields):
+    """Restriction of a game to row set x column set.
+
+    Index sets are stored sorted ascending without duplicates, so equality
+    is set equality and tuple order is canonical. The constructor checks
+    and canonicalizes its arguments; ``_make`` and ``_replace`` store theirs
+    as given, unchecked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rows: Iterable[int], cols: Iterable[int]) -> "Subgame":
+        rows, cols = tuple(rows), tuple(cols)
+        _check_ints(rows + cols, lambda: f"subgame with rows {rows} and cols {cols}")
         if not rows or not cols:
             raise EmptySubgame("a subgame needs at least one row and one column")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        return super().__new__(cls, tuple(sorted(set(rows))), tuple(sorted(set(cols))))
 
     def contains(self, profile: StrategyProfile) -> bool:
         return profile.row in self.rows and profile.col in self.cols
@@ -112,36 +126,34 @@ class Subgame:
         return fmt(self.rows) + "x" + fmt(self.cols)
 
 
-def _subgame_key(subgame: Subgame) -> tuple:
-    """The dataclass order of subgames as a plain tuple, which sorted()
-    compares without calling the generated __lt__."""
-    return (subgame.rows, subgame.cols)
-
-
 def full_subgame(n: int) -> Subgame:
     return Subgame(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
 
 
-@dataclass(frozen=True, order=True)
-class Observation:
-    """One observed outcome: a chosen profile within a subgame."""
-
+class _ObservationFields(NamedTuple):
     choice: StrategyProfile
     subgame: Subgame
 
-    def __post_init__(self) -> None:
-        choice = StrategyProfile(*self.choice)
-        object.__setattr__(self, "choice", choice)
-        if not self.subgame.contains(choice):
-            raise ChoiceOutsideSubgame(f"choice {choice} lies outside subgame {self.subgame}")
+
+class Observation(_ObservationFields):
+    """One observed outcome: a chosen profile within a subgame.
+
+    The constructor checks that the choice is a pair of ints inside the
+    subgame; ``_make`` and ``_replace`` store their fields as given,
+    unchecked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, choice: Iterable[int], subgame: Subgame) -> "Observation":
+        choice = StrategyProfile(*choice)
+        _check_ints(choice, lambda: f"choice {tuple(choice)}")
+        if not subgame.contains(choice):
+            raise ChoiceOutsideSubgame(f"choice {choice} lies outside subgame {subgame}")
+        return super().__new__(cls, choice, subgame)
 
     def __str__(self) -> str:
         return f"({self.choice},{self.subgame})"
-
-
-def _observation_key(obs: Observation) -> tuple:
-    """The dataclass order of observations as a plain tuple."""
-    return (obs.choice, obs.subgame.rows, obs.subgame.cols)
 
 
 @dataclass(frozen=True)
@@ -161,9 +173,11 @@ class DataSet:
     observations: tuple[Observation, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise InvalidSize(f"game size must be an int, got {self.n!r}")
         if self.n < 1:
             raise InvalidSize(f"game size must be at least 1, got {self.n}")
-        observations = tuple(sorted(set(self.observations), key=_observation_key))
+        observations = tuple(sorted(set(self.observations)))
         for obs in observations:
             for index in (*obs.subgame.rows, *obs.subgame.cols):
                 if not 1 <= index <= self.n:
@@ -177,7 +191,7 @@ class DataSet:
         """Distinct subgames, in canonical order."""
         subgames = getattr(self, "_subgames", None)
         if subgames is None:
-            subgames = tuple(sorted({obs.subgame for obs in self.observations}, key=_subgame_key))
+            subgames = tuple(sorted({obs.subgame for obs in self.observations}))
             object.__setattr__(self, "_subgames", subgames)
         return subgames
 
@@ -211,26 +225,16 @@ def _checked_dataset(triples: Sequence[tuple], n: int) -> DataSet | None:
     keys = sorted(set(zip(choices, map(number.__getitem__, grids))))
     if not all(row in distinct[grid][0] and col in distinct[grid][1] for (row, col), grid in keys):
         return None
-    # The checks have passed, so the instances are made without __init__ or
-    # __post_init__. Fields are set one by one in declaration order, as
+    # The checks have passed, so the objects are made without them: _make
+    # skips the value types' __new__, and the DataSet skips __init__ and
+    # __post_init__. Its fields are set one by one in declaration order, as
     # __init__ sets them, which keeps the compact attribute layout.
-    new, set_field = object.__new__, object.__setattr__
-    subgames = []
-    for rows, cols in distinct:
-        subgame = new(Subgame)
-        set_field(subgame, "rows", rows)
-        set_field(subgame, "cols", cols)
-        subgames.append(subgame)
-    observations = []
-    for choice, grid in keys:
-        obs = new(Observation)
-        set_field(obs, "choice", choice)
-        set_field(obs, "subgame", subgames[grid])
-        observations.append(obs)
-    dataset = new(DataSet)
+    subgames = tuple(map(Subgame._make, distinct))
+    observations = tuple(Observation._make((choice, subgames[grid])) for choice, grid in keys)
+    dataset, set_field = object.__new__(DataSet), object.__setattr__
     set_field(dataset, "n", n)
-    set_field(dataset, "observations", tuple(observations))
-    set_field(dataset, "_subgames", tuple(subgames))
+    set_field(dataset, "observations", observations)
+    set_field(dataset, "_subgames", subgames)
     return dataset
 
 
@@ -246,8 +250,7 @@ def validate_dataset(
 
     Each rows and cols iterable is read once. The data is checked and
     built in one bulk pass. When that pass fails, the per-object
-    constructors run to raise the error that they always have; data that
-    they accept holds a non-int, and the first one is refused.
+    constructors run and raise their error.
     """
     triples = []
     failure = None
@@ -259,21 +262,7 @@ def validate_dataset(
     if failure is not None:
         _observations(triples)  # an earlier triple's error comes first
         raise failure
-    dataset = _checked_dataset(triples, n)
-    if dataset is None:
-        DataSet(n, _observations(triples))  # the constructors' error comes first
-        raise _non_int(triples, n)
-    return dataset
-
-
-def _non_int(triples: Sequence[tuple], n) -> InvalidSize | IndexOutOfRange:
-    """The error for the first non-int: n, else an index in input order."""
-    if type(n) is not int:
-        return InvalidSize(f"game size must be an int, got {n!r}")
-    index, choice, rows, cols = next(
-        (index, *triple) for triple in triples for index in chain(*triple) if type(index) is not int
-    )
-    return IndexOutOfRange(f"index {index!r} is not an int in observation {Observation(choice, Subgame(rows, cols))}")
+    return _checked_dataset(triples, n) or DataSet(n, _observations(triples))
 
 
 @dataclass(frozen=True)

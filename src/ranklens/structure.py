@@ -14,14 +14,13 @@ grid, and which grids contain it. `crossing_set` reads the first;
 `satisfies_uniqueness` and the zero-sum route's nesting pass read the
 second, so a subgame or an observation is tested only against the grids
 that meet or contain its own, never against every pair. The grids, the
-index, the containers, the crossing set and the report are computed once
-per dataset and kept on it beside its fields (see ``_Classification``),
-so every helper and route reuses one classification.
+index, the containers and the report are computed once per dataset and
+kept on it beside its fields (see ``_Classification``), so every helper
+and route reuses one classification.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -65,16 +64,16 @@ class _GridIndex:
 class _Classification:
     """What classifying a DataSet computes once: the sorted subgames, their
     grids as pairs of frozensets, the grid of each observation (as a
-    subgame position), and, once asked, the grid index, each grid's strict
-    containers, the crossing set and the structure report.
+    subgame position), and, once asked, the grid index and each grid's
+    strict containers. ``analyze`` stores the structure report on it.
 
     One instance is kept on the dataset, beside its fields (see
-    ``_classified``). It refers back to the dataset weakly, so a dataset
-    and its memo make no reference cycle and are freed together.
+    ``_classified``). It holds no reference to the dataset, so the two
+    make no reference cycle and are freed together.
     """
 
     def __init__(self, dataset: DataSet) -> None:
-        self._dataset = weakref.ref(dataset)
+        self.report: StructureReport | None = None
         self.subgames = subgames = dataset.subgames()
         axes: dict[tuple[int, ...], frozenset[int]] = {}
         for subgame in subgames:
@@ -82,8 +81,8 @@ class _Classification:
                 if axis not in axes:
                     axes[axis] = frozenset(axis)
         self.grids = [(axes[s.rows], axes[s.cols]) for s in subgames]
-        position = {(s.rows, s.cols): p for p, s in enumerate(subgames)}
-        self.positions = [position[obs.subgame.rows, obs.subgame.cols] for obs in dataset.observations]
+        position = {s: p for p, s in enumerate(subgames)}
+        self.positions = [position[obs.subgame] for obs in dataset.observations]
 
     @cached_property
     def index(self) -> _GridIndex:
@@ -104,14 +103,6 @@ class _Classification:
                 if other != position and rows_s <= grids[other][0] and cols_s <= grids[other][1]
             ])
         return outer
-
-    @cached_property
-    def crossing(self) -> tuple[Subgame, ...]:
-        return crossing_set(self._dataset())
-
-    @cached_property
-    def report(self) -> StructureReport:
-        return _report(self._dataset(), self.crossing)
 
 
 def _classified(dataset: DataSet) -> _Classification:
@@ -205,10 +196,14 @@ def analyze(dataset: DataSet) -> StructureReport:
     The report is computed once per dataset; later calls, and every
     structure helper and route, reuse it.
     """
-    return _classified(dataset).report
+    memo = _classified(dataset)
+    if memo.report is None:
+        memo.report = _report(dataset)
+    return memo.report
 
 
-def _report(dataset: DataSet, crossing: tuple[Subgame, ...]) -> StructureReport:
+def _report(dataset: DataSet) -> StructureReport:
+    crossing = crossing_set(dataset)
     crossing_lookup = set(crossing)
     choices = tuple(
         sorted({obs.choice for obs in dataset.observations if obs.subgame in crossing_lookup})

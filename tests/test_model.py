@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -68,19 +70,35 @@ class TestValidation:
         assert first == second
         assert first.observations == second.observations
 
-    def test_canonical_order_is_the_dataclass_order(self):
-        # DataSet sorts with key tuples; the generated __lt__ of Observation
-        # and Subgame must give the same order, from any input order.
+    def test_canonical_order_is_the_tuple_order(self):
+        # Observations and subgames sort as plain tuples: by choice, then
+        # rows, then cols, from any input order.
         rng = Random(47)
         checked = 0
         for ds in reference_corpus():
             shuffled = list(ds.observations)
             rng.shuffle(shuffled)
             rebuilt = DataSet(ds.n, tuple(shuffled))
-            assert rebuilt.observations == tuple(sorted(shuffled)) == ds.observations
-            assert rebuilt.subgames() == tuple(sorted({o.subgame for o in shuffled}))
+            expected = tuple(sorted(shuffled, key=lambda o: (o.choice, o.subgame.rows, o.subgame.cols)))
+            assert rebuilt.observations == expected == ds.observations
+            assert rebuilt.subgames() == tuple(sorted({o.subgame for o in shuffled}, key=lambda s: (s.rows, s.cols)))
             checked += 1
         assert checked == 957
+
+    def test_observations_and_subgames_are_canonical_value_types(self):
+        obs = Observation((1, 1), Subgame((2, 1, 2), (2, 1)))
+        assert repr(obs) == (
+            "Observation(choice=StrategyProfile(row=1, col=1), subgame=Subgame(rows=(1, 2), cols=(1, 2)))"
+        )
+        for value, field in ((obs, "choice"), (obs.subgame, "rows")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, (1, 1))
+        ds = validate_dataset([((2, 1), (2, 1), (1,)), ((1, 1), (1, 2), (2, 1))], 2)
+        for value in (obs, obs.subgame, *ds.observations, ds):
+            for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert copied == value and repr(copied) == repr(value)
+                assert type(copied) is type(value)
+        assert copy.deepcopy(ds).observations == tuple(sorted(ds.observations))
 
 
 class TestEquilibria:
@@ -339,8 +357,7 @@ def as_generators(triples):
 
 class TestBulkValidation:
     """validate_dataset checks and builds integer data in one bulk pass.
-    When that pass fails, it raises the error of per-object construction,
-    or, where the constructors accept the data, refuses its first non-int."""
+    When that pass fails, it raises the error of per-object construction."""
 
     def test_valid_corpus_matches_per_object_construction(self):
         rng = Random(83)
@@ -373,13 +390,9 @@ class TestBulkValidation:
             make = (lambda: list(triples)) if rng.random() < 0.5 else as_generators(triples)
             bulk = outcome(validate_dataset, make, n)
             reference = outcome(per_object_dataset, make, n)
-            if reference[0] == "ok" and type(n) is not int:
-                # A non-int n that the constructors accept is refused.
-                reference = ("error", InvalidSize, f"game size must be an int, got {n!r}")
             assert bulk == reference, (triples, n)
             errors[bulk[1].__name__ if bulk[0] == "error" else "ok"] += 1
-        assert set(errors) == {"ok", "EmptySubgame", "ChoiceOutsideSubgame", "IndexOutOfRange",
-                               "InvalidSize", "TypeError"}, errors
+        assert set(errors) == {"ok", "EmptySubgame", "ChoiceOutsideSubgame", "IndexOutOfRange", "InvalidSize"}, errors
 
     @pytest.mark.parametrize(
         "triples, n, error",
@@ -391,21 +404,23 @@ class TestBulkValidation:
             ([((3, 1), (1, 3), (1,))], 2, IndexOutOfRange),
             ([((1, 1), (1,), (1,))], 0, InvalidSize),
             ([((1, 1), (1,), (1,))], -3, InvalidSize),
-            ([((1, 1), (1,), (1,))], "2", TypeError),
+            ([((1, 1), (1,), (1,))], "2", InvalidSize),
             # Input order: an empty or off-grid triple beats an earlier index
             # out of range, which DataSet only finds in sorted order.
             ([((3, 3), (3,), (3,)), ((1, 1), (), (1,))], 2, EmptySubgame),
             ([((3, 3), (3,), (3,)), ((2, 1), (1,), (1, 2))], 2, ChoiceOutsideSubgame),
             # In sorted order, (1, 3) comes before (2, 0).
             ([((2, 0), (2,), (0,)), ((1, 3), (1,), (3,))], 2, IndexOutOfRange),
-            # Indices that are not ints go through the constructors too, so a
-            # later off-grid choice beats the comparison that fails on "1".
-            ([(("1", 1), ("1",), (1,)), ((2, 1), (1,), (1,))], 2, ChoiceOutsideSubgame),
-            ([(("1", 1), ("1",), (1,))], 2, TypeError),
+            # An index that is not an int is refused by the first constructor
+            # that sees it, before a later off-grid choice.
+            ([(("1", 1), ("1",), (1,)), ((2, 1), (1,), (1,))], 2, IndexOutOfRange),
+            ([(("1", 1), ("1",), (1,))], 2, IndexOutOfRange),
             # A triple that cannot be read yields to an earlier bad triple.
             ([((1, 1), (), (1,)), ((1, 1, 1), (1,), (1,))], 2, EmptySubgame),
             ([((1, 1), (1,), (1,)), ((1, 1, 1), (1,), (1,))], 2, TypeError),
             ([((1, 1), (1,), (1,)), ((1, 1), (1,))], 2, ValueError),
+            # Subgame checks its indices before it sorts them.
+            ([(("1", 1), ("1", 2), (1,))], 2, IndexOutOfRange),
         ],
     )
     def test_first_error_as_per_object_construction(self, triples, n, error):
@@ -422,20 +437,23 @@ class TestBulkValidation:
             assert [obs.subgame for obs in bulk.observations] == [Subgame((1,), (1, 2)), Subgame((1, 2), (1,))]
 
     def test_data_other_than_ints_is_refused(self):
-        # The constructors accept these, but the dataset would hold a
-        # non-int, which no document can carry.
+        # No document can carry a non-int, so neither the constructors nor
+        # the bulk pass accept one; a bool is not an int.
         for triples, n, error, message in (
-            ([((True, 1), (1,), (1,))], 2, IndexOutOfRange, "index True is not an int in observation ((True,1),{1}x{1})"),
-            ([((1, 1), (1,), (1, True))], 2, IndexOutOfRange, "index True is not an int in observation ((1,1),{1}x{1})"),
+            ([((True, 1), (1,), (1,))], 2, IndexOutOfRange, "index True is not an int in choice (True, 1)"),
+            ([((1, 1), (1,), (1, True))], 2, IndexOutOfRange,
+             "index True is not an int in subgame with rows (1,) and cols (1, True)"),
             ([((1, 1), (1,), (1,)), ((1, 1), (1.0, 2), (1,))], 2, IndexOutOfRange,
-             "index 1.0 is not an int in observation ((1,1),{1.0,2}x{1})"),
+             "index 1.0 is not an int in subgame with rows (1.0, 2) and cols (1,)"),
             ([((1, 1), (1,), (1,))], 2.0, InvalidSize, "game size must be an int, got 2.0"),
             ([((1, 1), (1,), (1,))], True, InvalidSize, "game size must be an int, got True"),
             ([], 2.0, InvalidSize, "game size must be an int, got 2.0"),
         ):
-            assert outcome(per_object_dataset, lambda: triples, n)[0] == "ok"
             for make in (lambda: list(triples), as_generators(triples)):
+                assert outcome(per_object_dataset, make, n) == ("error", error, message)
                 assert outcome(validate_dataset, make, n) == ("error", error, message)
+        with pytest.raises(InvalidSize, match="must be an int, got 2.0"):
+            DataSet(2.0, (Observation((1, 1), Subgame((1, 2), (1, 2))),))
 
     def test_grids_are_shared(self):
         ds = validate_dataset([((1, 1), (1, 2), (1, 2)), ((2, 2), (2, 1), (1, 2))], 2)

@@ -289,7 +289,7 @@ class TestClassificationMemo:
             assert dataset_to_text(warmed) == text
 
     def test_a_classified_dataset_is_freed_without_the_cycle_collector(self):
-        # The memo refers back to its dataset weakly: no reference cycle.
+        # The memo holds no reference to its dataset: no reference cycle.
         ds = uniqueness_variant(two_regular_dataset(sylvester_hadamard(2)))
         analyze(ds)
         assert _classified(ds).outer is not None
