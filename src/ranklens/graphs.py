@@ -12,19 +12,26 @@ carrying only row edges (pricing A) and once carrying only column edges
 and columns. Splitting nothing gives the plain revealed-preference graph;
 splitting every profile separates the row player's constraints from the
 column player's.
+
+The zero-sum route's graph is built over row and column classes instead
+(see ``structure._classes``): one vertex per block of profiles that every
+observation treats alike, priced once and expanded to every cell of the
+block.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Sequence
 
 from .model import BimatrixGame, DataSet, Observation
 from .structure import _nesting
 
 # Vertex id ((row-1)*n + (col-1))*3 + t, with t = 0 for an intact vertex,
 # 1 for an R copy and 2 for a C copy. Integer order is the canonical vertex
-# order: by (row, col), then intact before R before C.
+# order: by (row, col), then intact before R before C. Over classes, the
+# row and column class numbers stand for row-1 and col-1, and the number of
+# column classes for n.
 _TAGS = ("", "R", "C")
 
 
@@ -50,26 +57,25 @@ def _edge_ids(n: int, observations: Iterable[Observation], split: Collection[int
     """
     rows: set[tuple[int, int]] = set()
     cols: set[tuple[int, int]] = set()
-    for obs in observations:
-        (i, j), subgame = obs.choice, obs.subgame
+    for (i, j), (subgame_rows, subgame_cols) in observations:
         choice = (i - 1) * n + j - 1
         is_split = choice in split
         src = 3 * choice + is_split
-        for i2 in subgame.rows:
+        for i2 in subgame_rows:
             if i2 != i:
                 cell = choice + (i2 - i) * n
                 rows.add((src, 3 * cell + (cell in split)))
         dst = 3 * choice + 2 * is_split
-        for j2 in subgame.cols:
+        for j2 in subgame_cols:
             if j2 != j:
                 cell = choice + j2 - j
                 cols.add((3 * cell + 2 * (cell in split), dst))
     return rows, cols
 
 
-def _strong_edge_ids(dataset: DataSet) -> list[tuple[int, int]]:
+def _strong_edge_ids(dataset: DataSet, rows: Sequence[int], cols: Sequence[int]) -> list[tuple[int, int]]:
     """Id pairs of the strongly implementing graph of a laminar dataset
-    with unique choices.
+    with unique choices, over row and column classes.
 
     The caller guarantees both (``rationalize_zero_sum`` checks them).
     Per observation ((i,j), X, Y) that the containment forest keeps, with
@@ -78,20 +84,31 @@ def _strong_edge_ids(dataset: DataSet) -> list[tuple[int, int]]:
     toward column j, and every other off-choice vertex gets a row edge from
     row i. The result is acyclic and pins the observed choice as the unique
     strict equilibrium of each subgame once payoffs are assigned by levels.
+
+    ``rows`` and ``cols`` are class maps (see ``structure._classes``): a
+    vertex id is that of a profile with row class K and column class L,
+    (K * width + L) * 3, where width is the number of column classes. Each
+    observed row and column set is a union of classes, and a choice's row
+    and column are classes of their own, so the rule above reads only
+    classes. It joins no two cells of one block (row class x column
+    class), and the levels of this graph are those of the full graph on
+    every cell of the block. Identity maps give the full graph.
     """
-    n = dataset.n
+    width = max(cols) + 1
     pairs: list[tuple[int, int]] = []
-    for obs, children in _nesting(dataset):
-        (i, j), subgame = obs.choice, obs.subgame
-        # Cells and rows of the children that hold row i; sibling grids
-        # are disjoint.
+    for ((i, j), (subgame_rows, subgame_cols)), children in _nesting(dataset):
+        # Cells and row classes of the children that hold row i; sibling
+        # grids are disjoint.
         row_side: set[int] = set()
         side_rows: set[int] = set()
-        for grid in children:
-            if i in grid.rows:
-                row_side.update((r - 1) * n + c - 1 for r in grid.rows for c in grid.cols)
-                side_rows.update(grid.rows)
-        choice = (i - 1) * n + j - 1
+        for child_rows, child_cols in children:
+            if i in child_rows:
+                row_classes = {rows[r - 1] for r in child_rows}
+                col_classes = {cols[c - 1] for c in child_cols}
+                row_side.update(k * width + l for k in row_classes for l in col_classes)
+                side_rows.update(row_classes)
+        row_i = rows[i - 1]
+        choice = row_i * width + cols[j - 1]
         # A child grid holding the choice would collide with uniqueness
         # plus the skip of same-choice grids.
         assert choice not in row_side
@@ -99,12 +116,12 @@ def _strong_edge_ids(dataset: DataSet) -> list[tuple[int, int]]:
         # other vertex a row edge from row i; row i's column edges and
         # column j's row edges are the implement edges. Neither makes a
         # self-loop. tops holds the ids of row i's vertices.
-        tops = [3 * (choice + c - j) for c in subgame.cols]
-        for r in subgame.rows:
-            shift = 3 * (r - i) * n
-            if r == i:
+        tops = [3 * (row_i * width + l) for l in dict.fromkeys(cols[c - 1] for c in subgame_cols)]
+        for k in dict.fromkeys(rows[r - 1] for r in subgame_rows):
+            shift = 3 * (k - row_i) * width
+            if k == row_i:
                 pairs += [(top, 3 * choice) for top in tops if top != 3 * choice]
-            elif r in side_rows:
+            elif k in side_rows:
                 for top in tops:
                     vid = top + shift
                     pairs.append((vid, 3 * choice + shift) if vid // 3 in row_side else (top, vid))
@@ -181,36 +198,44 @@ def _cycle_text(n: int, cycle: tuple[int, ...]) -> str:
     return f"({', '.join(vertices)})"
 
 
-def _payoffs(n: int, levels: dict[int, int]) -> BimatrixGame:
-    """Payoffs from the levels of vertex ids.
+def _payoffs(levels: dict[int, int], rows: Sequence[int], cols: Sequence[int]) -> BimatrixGame:
+    """Payoffs from the levels of vertex ids over row and column classes.
+
+    ``rows`` and ``cols`` are the class maps that the ids were made with
+    (see ``_strong_edge_ids``); identity maps give one class per row and
+    column, the graphs of the other routes. Every cell of a block takes
+    the block's payoffs.
 
     Intact vertices price both matrices (A = level, B = -level); an R copy
     prices only A and a C copy only B, so A + B can be nonzero only on
     split rows and columns, bounding its rank by the span: the smaller of
     the split profiles' row count and column count. A vertex no edge
-    touches sits at level 1, so every cell starts at level 1 and only the
+    touches sits at level 1, so every block starts at level 1 and only the
     touched vertices are priced. Each distinct row of payoffs becomes one
     tuple, shared by the rows that repeat it (every untouched row is all
-    level 1), and each payoff one Fraction, shared by its cells.
+    level 1, and every row of a class is one row), and each payoff one
+    Fraction, shared by its cells.
     """
-    a = [1] * (n * n)
-    b = [-1] * (n * n)
+    width = max(cols) + 1
+    size = (max(rows) + 1) * width
+    a = [1] * size
+    b = [-1] * size
     for vid, level in levels.items():
-        cell, tag = divmod(vid, 3)
+        block, tag = divmod(vid, 3)
         if tag != 2:
-            a[cell] = level
+            a[block] = level
         if tag != 1:
-            b[cell] = -level
+            b[block] = -level
     prices = {x: Fraction(x) for level in {1, *levels.values()} for x in (level, -level)}
-    rows: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+    shared: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     matrices = []
     for payoffs in (a, b):
-        matrix = []
-        for k in range(0, n * n, n):
-            key = tuple(payoffs[k:k + n])
-            row = rows.get(key)
+        class_rows = []
+        for k in range(0, size, width):
+            key = tuple(map(payoffs[k:k + width].__getitem__, cols))
+            row = shared.get(key)
             if row is None:
-                row = rows[key] = tuple(map(prices.__getitem__, key))
-            matrix.append(row)
-        matrices.append(tuple(matrix))
-    return BimatrixGame(n, *matrices)
+                row = shared[key] = tuple(map(prices.__getitem__, key))
+            class_rows.append(row)
+        matrices.append(tuple(map(class_rows.__getitem__, rows)))
+    return BimatrixGame(len(rows), *matrices)

@@ -69,6 +69,12 @@ def _sign(value) -> int:
     return (value > 0) - (value < 0)
 
 
+def _field_state(obj) -> dict:
+    """A dataclass's pickled state: its fields, without the private memos
+    that it keeps beside them."""
+    return {field.name: getattr(obj, field.name) for field in fields(obj)}
+
+
 class StrategyProfile(NamedTuple):
     """A joint pure strategy (row, col)."""
 
@@ -184,8 +190,7 @@ class DataSet:
                     raise IndexOutOfRange(f"index {index} outside 1..{self.n} in observation {obs}")
         object.__setattr__(self, "observations", observations)
 
-    def __getstate__(self) -> dict:
-        return {field.name: getattr(self, field.name) for field in fields(self)}
+    __getstate__ = _field_state
 
     def subgames(self) -> tuple[Subgame, ...]:
         """Distinct subgames, in canonical order."""
@@ -267,7 +272,12 @@ def validate_dataset(
 
 @dataclass(frozen=True)
 class BimatrixGame:
-    """An n x n two-player game with exact rational payoffs (A, B)."""
+    """An n x n two-player game with exact rational payoffs (A, B).
+
+    The integer rows of A + B (``_integer_rows``) are computed once and
+    kept as a private instance attribute beside the fields; equality,
+    hashing, repr and pickling see only the fields.
+    """
 
     n: int
     a: tuple[tuple[Fraction, ...], ...]
@@ -280,6 +290,8 @@ class BimatrixGame:
                 raise SizeMismatch(f"{name} must be {self.n}x{self.n}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    __getstate__ = _field_state
 
     @classmethod
     def from_rows(
@@ -344,9 +356,9 @@ def rationalizes(game: BimatrixGame, dataset: DataSet) -> VerificationReport:
         raise SizeMismatch(f"game is {game.n}x{game.n} but dataset expects n={dataset.n}")
     failures = []
     for obs in dataset.observations:
-        (i, j), subgame = obs.choice, obs.subgame
-        deviations = [("A", game.a, i2, j) for i2 in subgame.rows if i2 != i]
-        deviations += [("B", game.b, i, j2) for j2 in subgame.cols if j2 != j]
+        (i, j), (rows, cols) = obs
+        deviations = [("A", game.a, i2, j) for i2 in rows if i2 != i]
+        deviations += [("B", game.b, i, j2) for j2 in cols if j2 != j]
         for name, matrix, r, c in deviations:
             own, other = matrix[i - 1][j - 1], matrix[r - 1][c - 1]
             # Integer payoffs, the only kind synthesis makes, compare by
@@ -414,9 +426,14 @@ def _integer_rows(game: BimatrixGame) -> list[tuple[int, list[int]]]:
     the row's denominators and row is the row times scale, as ints.
 
     Each is built once per distinct pair of row objects and shared by the
-    rows with that pair, so callers must not change it. Each distinct entry
-    object's numerator and denominator are read once.
+    rows with that pair. Each distinct entry object's numerator and
+    denominator are read once. The list is kept on the game, so ``game_rank``
+    and ``block_difference_certificate`` scale a game once between them,
+    and callers must change neither the list nor its rows.
     """
+    integer_rows = getattr(game, "_integer_rows", None)
+    if integer_rows is not None:
+        return integer_rows
     memo: dict = {}
     ratio = Fraction.as_integer_ratio
 
@@ -432,7 +449,9 @@ def _integer_rows(game: BimatrixGame) -> list[tuple[int, list[int]]]:
     keys = list(zip(map(id, game.a), map(id, game.b)))
     pairs = dict(zip(keys, zip(game.a, game.b)))
     rows = {key: integer_row(row_a, row_b) for key, (row_a, row_b) in pairs.items()}
-    return list(map(rows.__getitem__, keys))
+    integer_rows = list(map(rows.__getitem__, keys))
+    object.__setattr__(game, "_integer_rows", integer_rows)
+    return integer_rows
 
 
 def game_rank(game: BimatrixGame) -> int:

@@ -115,10 +115,9 @@ def brute_force_min_rank(dataset: DataSet, config: SearchConfig = SearchConfig()
     # Column j of A and row i of B, each as strict orders between positions.
     col_orders: list[set[tuple[int, int]]] = [set() for _ in range(n)]
     row_orders: list[set[tuple[int, int]]] = [set() for _ in range(n)]
-    for obs in dataset.observations:
-        (i, j), subgame = obs.choice, obs.subgame
-        col_orders[j - 1].update((i - 1, i2 - 1) for i2 in subgame.rows if i2 != i)
-        row_orders[i - 1].update((j - 1, j2 - 1) for j2 in subgame.cols if j2 != j)
+    for (i, j), (subgame_rows, subgame_cols) in dataset.observations:
+        col_orders[j - 1].update((i - 1, i2 - 1) for i2 in subgame_rows if i2 != i)
+        row_orders[i - 1].update((j - 1, j2 - 1) for j2 in subgame_cols if j2 != j)
     # The box is symmetric, so -G_i is the line set under row i's reversed orders.
     reversed_orders = [{(lo, hi) for hi, lo in pairs} for pairs in row_orders]
     lines = _feasible_lines(n, radius, [frozenset(pairs) for pairs in col_orders + row_orders + reversed_orders])

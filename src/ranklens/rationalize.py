@@ -30,7 +30,7 @@ from .model import (
     game_rank,
     rationalizes,
 )
-from .structure import StructureReport, analyze
+from .structure import StructureReport, _classes, analyze
 
 
 @dataclass(frozen=True)
@@ -195,19 +195,25 @@ def rationalize_zero_sum(dataset: DataSet) -> RationalizationCertificate:
 
     Builds the strongly implementing graph on the dataset's containment
     forest and prices it by levels; the observed choice is then the unique
-    strict equilibrium of every observed subgame.
+    strict equilibrium of every observed subgame. The graph is built and
+    priced over the dataset's row and column classes, whose rows and
+    columns every observation treats alike, so its size follows the
+    number of classes rather than n; the game is then expanded to n x n.
     """
     report = analyze(dataset)
     if not report.laminar:
         raise NotLaminar("dataset has crossing subgames")
     _require_uniqueness(report)
-    n = dataset.n
-    levels, cycle = _sweep(_strong_edge_ids(dataset))
+    rows, cols = _classes(dataset)
+    levels, cycle = _sweep(_strong_edge_ids(dataset, rows, cols))
     # The graph has edges beyond the inequalities that _certify tests, so
-    # a cycle here would not be caught there.
+    # a cycle here would not be caught there. Its vertices are named by
+    # the first row and column of their classes.
     if cycle is not None:
+        width, n = max(cols) + 1, dataset.n
+        cycle = tuple(3 * (rows.index(vid // 3 // width) * n + cols.index(vid // 3 % width)) + vid % 3 for vid in cycle)
         raise AssertionError(f"internal error: zero_sum's strong graph has cycle {_cycle_text(n, cycle)}")
-    game = _payoffs(n, levels)
+    game = _payoffs(levels, rows, cols)
     return _certify(game, dataset, "zero_sum", rank_bound=0, uniqueness_guarantee=True)
 
 
@@ -232,7 +238,7 @@ def rationalize_bounded_rank(dataset: DataSet) -> RationalizationCertificate:
             f"split revealed-preference graph has cycle {_cycle_text(n, cycle)}",
             witness=_split_cycle_witness(n, cycle),
         )
-    game = _payoffs(n, levels)
+    game = _payoffs(levels, range(n), range(n))
     # The crossing span is the span of the split crossing choices.
     return _certify(game, dataset, "bounded_rank", rank_bound=report.crossing_span, uniqueness_guarantee=False)
 
@@ -251,7 +257,8 @@ def rationalize_general(dataset: DataSet) -> RationalizationCertificate:
     if witness is not None:
         ineqs = ", ".join(witness.inequalities())
         raise NotRationalizable(f"contradictory preferences: {ineqs}", witness=witness)
-    game = _payoffs(dataset.n, {**row_levels, **col_levels})
+    n = dataset.n
+    game = _payoffs({**row_levels, **col_levels}, range(n), range(n))
     return _certify(game, dataset, "general", rank_bound=None, uniqueness_guarantee=False)
 
 

@@ -16,7 +16,9 @@ second, so a subgame or an observation is tested only against the grids
 that meet or contain its own, never against every pair. The grids, the
 index, the containers and the report are computed once per dataset and
 kept on it beside its fields (see ``_Classification``), so every helper
-and route reuses one classification.
+and route reuses one classification. The same memo keeps the row and
+column classes (``_classes``): rows that every observation treats alike,
+over which the zero-sum route builds and prices its graph.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ class _Classification:
     """What classifying a DataSet computes once: the sorted subgames, their
     grids as pairs of frozensets, the grid of each observation (as a
     subgame position), and, once asked, the grid index and each grid's
-    strict containers. ``analyze`` stores the structure report on it.
+    strict containers. ``analyze`` stores the structure report on it, and
+    ``_classes`` the row and column classes.
 
     One instance is kept on the dataset, beside its fields (see
     ``_classified``). It holds no reference to the dataset, so the two
@@ -74,6 +77,7 @@ class _Classification:
 
     def __init__(self, dataset: DataSet) -> None:
         self.report: StructureReport | None = None
+        self.classes: tuple[list[int], list[int]] | None = None
         self.subgames = subgames = dataset.subgames()
         axes: dict[tuple[int, ...], frozenset[int]] = {}
         for subgame in subgames:
@@ -221,6 +225,38 @@ def _report(dataset: DataSet) -> StructureReport:
         crossing_span=min(row_span, col_span),
         uniqueness_violation=uniqueness.violation,
     )
+
+
+def _classes(dataset: DataSet) -> tuple[list[int], list[int]]:
+    """The row and column classes, as class maps: ``rows[r - 1]`` is the
+    class of row r, ``cols[c - 1]`` the class of column c.
+
+    Two rows are in one class when every observation treats them alike:
+    both are in its row set or neither is, and neither is its choice row
+    (so a choice row is a class of its own). Columns likewise. Classes
+    are numbered in order of their first member, so the maps are the
+    identity exactly when every class is a singleton. One pass over the
+    observations' row and column sets marks each row and column with the
+    observations that hold it, and the marks number the classes.
+    """
+    memo = _classified(dataset)
+    if memo.classes is None:
+        n = dataset.n
+        marks = ([[] for _ in range(n)], [[] for _ in range(n)])
+        for k, ((i, j), (rows, cols)) in enumerate(dataset.observations):
+            for axis_marks, axis, chosen in zip(marks, (rows, cols), (i, j)):
+                for x in axis:
+                    axis_marks[x - 1].append(k)
+                axis_marks[chosen - 1].append(~k)
+        memo.classes = (_numbered(marks[0]), _numbered(marks[1]))
+    return memo.classes
+
+
+def _numbered(marks: list[list[int]]) -> list[int]:
+    """The class number of each mark list: equal lists share a number, and
+    numbers go in order of first appearance."""
+    number: dict[tuple[int, ...], int] = {}
+    return [number.setdefault(tuple(mark), len(number)) for mark in marks]
 
 
 def _nesting(dataset: DataSet) -> list[tuple[Observation, list[Subgame]]]:

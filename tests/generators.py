@@ -278,6 +278,22 @@ def rank_one_sign_realizable(sign_rows, bound: int = 3) -> bool:
 # definitions.
 
 
+def naive_classes(dataset: DataSet) -> tuple[list[int], list[int]]:
+    """Row and column class maps from the definition: two rows share a
+    class when every observation holds both in its row set or neither, and
+    picks neither as its choice row; classes are numbered in order of their
+    first member. Columns likewise."""
+    maps = []
+    for axis in (0, 1):
+        numbers: dict = {}
+        signatures = [
+            tuple((x in obs.subgame[axis], x == obs.choice[axis]) for obs in dataset.observations)
+            for x in range(1, dataset.n + 1)
+        ]
+        maps.append([numbers.setdefault(signature, len(numbers)) for signature in signatures])
+    return maps[0], maps[1]
+
+
 def naive_subgames_cross(first, second) -> bool:
     rows_f, cols_f = set(first.rows), set(first.cols)
     rows_s, cols_s = set(second.rows), set(second.cols)

@@ -26,19 +26,30 @@ from ranklens import (
     zero_sum_feasible,
 )
 from ranklens.graphs import _cells, _coordinates, _cycle_text, _edge_ids, _payoffs, _strong_edge_ids, _sweep
-from ranklens.structure import _nesting
+from ranklens.structure import _classes, _nesting
 from .generators import (
     _canonical,
     is_zero_sum,
     naive_dedupe_nested,
     naive_is_acyclic,
     naive_topological_levels,
+    naive_classes,
     naive_vertices,
     random_laminar_unique_dataset,
     random_uniqueness_dataset,
     reference_corpus,
     vertex_id,
 )
+
+
+def strong_pairs(ds):
+    """The strong graph over the identity class maps: the full graph."""
+    return _strong_edge_ids(ds, range(ds.n), range(ds.n))
+
+
+def identity_payoffs(n, levels):
+    """The game of levels of full vertex ids."""
+    return _payoffs(levels, range(n), range(n))
 
 
 def P(r, c):
@@ -103,7 +114,7 @@ class TestImplementEdges:
 class TestStrongLaminarGraph:
     def test_single_full_observation(self):
         ds = validate_dataset([((1, 1), (1, 2, 3), (1, 2, 3))], 3)
-        assert set(_strong_edge_ids(ds)) == {
+        assert set(strong_pairs(ds)) == {
             (V3(1, 1), V3(2, 1)),
             (V3(1, 1), V3(3, 1)),
             (V3(1, 2), V3(1, 1)),
@@ -115,9 +126,9 @@ class TestStrongLaminarGraph:
         }
 
     def test_nested_dataset_edges_and_payoffs(self, nested_dataset):
-        pairs = _strong_edge_ids(nested_dataset)
+        pairs = strong_pairs(nested_dataset)
         assert set(pairs) == {(V2(1, 1), V2(2, 1)), (V2(1, 2), V2(1, 1)), (V2(1, 2), V2(2, 2))}
-        game = _payoffs(2, _sweep(pairs)[0])
+        game = identity_payoffs(2, _sweep(pairs)[0])
         assert game.a == ((Fraction(2), Fraction(3)), (Fraction(1), Fraction(1)))
         assert game.b == ((Fraction(-2), Fraction(-3)), (Fraction(-1), Fraction(-1)))
 
@@ -136,7 +147,7 @@ class TestStrongLaminarGraph:
             assert len(set(choices)) == len(choices)
             for obs, children in kept:
                 assert not any(child.contains(obs.choice) for child in children)
-            assert _sweep(_strong_edge_ids(ds))[1] is None
+            assert _sweep(strong_pairs(ds))[1] is None
         assert len(corpus) > 100 and len(draws) >= 200
 
     def test_strong_graph_of_the_deduplicated_dataset(self):
@@ -148,7 +159,7 @@ class TestStrongLaminarGraph:
         skipped = 0
         for ds in corpus + draws:
             deduped = naive_dedupe_nested(ds)
-            assert set(_strong_edge_ids(ds)) == set(_strong_edge_ids(deduped))
+            assert set(strong_pairs(ds)) == set(strong_pairs(deduped))
             skipped += deduped != ds
         assert skipped > 50
 
@@ -156,24 +167,104 @@ class TestStrongLaminarGraph:
         rng = Random(29)
         for _ in range(30):
             ds = random_laminar_unique_dataset(rng, rng.randint(2, 6))
-            n, pairs = ds.n, _strong_edge_ids(ds)
+            n, pairs = ds.n, strong_pairs(ds)
             assert _sweep(pairs)[1] is None
             rows, cols = _edge_ids(n, [obs for obs, _ in _nesting(ds)])
             assert rows | cols <= set(pairs)
-            game = _payoffs(n, _sweep(pairs)[0])
+            game = identity_payoffs(n, _sweep(pairs)[0])
             assert is_zero_sum(game)
             assert rationalizes(game, ds).ok
             for obs in ds.observations:
                 assert strict_equilibria(game, obs.subgame) == {obs.choice}
 
 
+class TestRowAndColumnClasses:
+    """The zero-sum route builds and prices its strong graph over row and
+    column classes (``structure._classes``). Swapping two rows of one class
+    maps every observation to itself, so it maps the graph of each edge
+    rule to itself; sink-first levels are longest-path lengths, so they are
+    constant on each block (row class x column class), and the graph over
+    the classes has the same levels."""
+
+    @staticmethod
+    def corpus():
+        rng = Random(73)
+        laminar = [random_laminar_unique_dataset(rng, rng.randint(2, 24)) for _ in range(150)]
+        unique = [random_uniqueness_dataset(rng, rng.randint(2, 10)) for _ in range(150)]
+        return [*reference_corpus(), *laminar, *unique]
+
+    def test_classes_follow_the_definition(self):
+        for ds in self.corpus():
+            assert _classes(ds) == naive_classes(ds), ds
+
+    def test_levels_are_constant_on_row_and_column_classes(self):
+        """For the plain, crossing-split and strong laminar edge rules."""
+        graphs = repeated = 0
+        for ds in self.corpus():
+            n, report = ds.n, analyze(ds)
+            rows, cols = naive_classes(ds)
+            rules = [
+                set().union(*_edge_ids(n, ds.observations)),
+                set().union(*_edge_ids(n, ds.observations, _cells(n, report.crossing_choices))),
+            ]
+            if report.laminar and report.uniqueness:
+                rules.append(strong_pairs(ds))
+            for pairs in rules:
+                levels = _sweep(pairs)[0]
+                touched = {vid for pair in pairs for vid in pair}
+                block_level = {}
+                for vid in range(3 * n * n):
+                    (row, col), tag = divmod(vid // 3, n), vid % 3
+                    level = levels.get(vid, "cycle" if vid in touched else 1)
+                    assert block_level.setdefault((rows[row], cols[col], tag), level) == level, ds
+                graphs += 1
+            repeated += len(set(rows)) < n or len(set(cols)) < n
+        assert graphs > 2500 and repeated > 200
+
+    def test_class_route_prices_like_the_full_graph(self):
+        """The route's game document is byte-identical to pricing the full
+        strong graph, that is, the graph over identity class maps."""
+        rng = Random(79)
+        corpus = [ds for ds in reference_corpus() if analyze(ds).laminar and analyze(ds).uniqueness]
+        draws = [random_laminar_unique_dataset(rng, n) for n in (96, 128, 192) for _ in range(3)]
+        shrunk = 0
+        for ds in corpus + draws:
+            rows, cols = _classes(ds)
+            full = identity_payoffs(ds.n, _sweep(strong_pairs(ds))[0])
+            quotient = _payoffs(_sweep(_strong_edge_ids(ds, rows, cols))[0], rows, cols)
+            assert game_to_text(quotient) == game_to_text(full)
+            assert game_to_text(rationalize_zero_sum(ds).game) == game_to_text(full)
+            shrunk += (max(rows) + 1) * (max(cols) + 1) < ds.n ** 2
+        assert all(max(_classes(ds)[0]) + 1 < ds.n for ds in draws)
+        assert shrunk > 80
+
+    def test_a_repeated_class_is_one_block(self):
+        ds = validate_dataset([((1, 1), (1, 2, 3, 4), (1, 2, 3, 4)), ((2, 2), (2, 3, 4), (2, 3, 4))], 4)
+        assert _classes(ds) == ([0, 1, 2, 2], [0, 1, 2, 2])
+        game = rationalize_zero_sum(ds).game
+        assert [[int(x) for x in row] for row in game.a] == [[2, 3, 4, 4], [1, 2, 3, 3], [1, 1, 1, 1], [1, 1, 1, 1]]
+        assert game.b == tuple(tuple(-x for x in row) for row in game.a)
+        assert game.a[2] is game.a[3]
+
+    def test_the_graph_grows_with_the_classes_not_the_cells(self):
+        n = 500
+        ds = validate_dataset([((1, 1), range(1, n + 1), range(1, n + 1)), ((2, 2), range(2, n + 1), (2, n))], n)
+        rows, cols = _classes(ds)
+        assert (max(rows) + 1, max(cols) + 1) == (3, 4)
+        pairs = _strong_edge_ids(ds, rows, cols)
+        assert {vid for pair in pairs for vid in pair} <= set(range(0, 3 * 3 * 4, 3))
+        assert len(pairs) < 2 * 3 * 4
+        cert = rationalize_zero_sum(ds)
+        assert cert.rank == 0 and len({id(row) for row in cert.game.a}) == 3
+
+
 class TestLevels:
     def test_single_edge(self):
         ds = validate_dataset([((1, 1), (1, 2), (1,))], 2)
-        pairs = _strong_edge_ids(ds)
+        pairs = strong_pairs(ds)
         levels = _sweep(pairs)[0]
         assert levels == {V2(1, 1): 2, V2(2, 1): 1}
-        game = _payoffs(2, levels)
+        game = identity_payoffs(2, levels)
         assert game.a == ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
         assert game.b == ((Fraction(-2), Fraction(-1)), (Fraction(-1), Fraction(-1)))
 
@@ -181,7 +272,7 @@ class TestLevels:
         rng = Random(31)
         for _ in range(20):
             ds = random_laminar_unique_dataset(rng, rng.randint(2, 6))
-            pairs = _strong_edge_ids(ds)
+            pairs = strong_pairs(ds)
             levels = _sweep(pairs)[0]
             for src, dst in pairs:
                 assert levels[src] > levels[dst]
@@ -206,7 +297,7 @@ class TestLevels:
 
     def test_empty_graph_is_all_level_one(self):
         assert _sweep([]) == ({}, None)
-        game = _payoffs(2, {})
+        game = identity_payoffs(2, {})
         assert set(game.a[0] + game.a[1]) == {1}
         assert set(game.b[0] + game.b[1]) == {-1}
 
@@ -220,7 +311,7 @@ class TestSplitGraph:
 
     def test_crossing_strips_payoffs(self, crossing_strips_dataset):
         pairs, _ = crossing_split_pairs(crossing_strips_dataset)
-        game = _payoffs(2, _sweep(pairs)[0])
+        game = identity_payoffs(2, _sweep(pairs)[0])
         assert game.a == ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(2)))
         assert game.b == ((Fraction(-1), Fraction(-1)), (Fraction(-2), Fraction(-1)))
         assert not is_zero_sum(game)
@@ -231,7 +322,7 @@ class TestSplitGraph:
         pairs, split = crossing_split_pairs(nested_dataset)
         assert split == set()
         assert analyze(nested_dataset).crossing_span == 0
-        assert is_zero_sum(_payoffs(2, _sweep(pairs)[0]))
+        assert is_zero_sum(identity_payoffs(2, _sweep(pairs)[0]))
 
     def test_empty_split_gives_plain_graph(self, crossing_strips_dataset):
         rows, cols = _edge_ids(2, crossing_strips_dataset.observations)
@@ -254,7 +345,7 @@ class TestSplitGraph:
             acyclic = _sweep(pairs)[1] is None
             assert acyclic == is_rationalizable(ds).rationalizable
             if acyclic:
-                game = _payoffs(ds.n, _sweep(pairs)[0])
+                game = identity_payoffs(ds.n, _sweep(pairs)[0])
                 assert rationalizes(game, ds).ok
                 assert game_rank(game) <= analyze(ds).crossing_span
             branches[acyclic] += 1
@@ -271,7 +362,7 @@ def _sweep_graphs():
         splits = [set(), _cells(n, report.crossing_choices), set(range(n * n))]
         parts = [(_edge_ids(n, ds.observations, split), split) for split in splits]
         if report.laminar and report.uniqueness:
-            strong = _strong_edge_ids(ds)
+            strong = strong_pairs(ds)
             # A row edge keeps its column.
             rows = {(src, dst) for src, dst in strong if (src // 3 - dst // 3) % n == 0}
             parts.append(((rows, set(strong) - rows), set()))
@@ -392,7 +483,7 @@ def _check_against_dense_references(ds, results):
                            witness)
     report = analyze(ds)
     if report.laminar and report.uniqueness:
-        pairs = _strong_edge_ids(ds)
+        pairs = strong_pairs(ds)
         assert zero_sum[4] == priced(n, naive_topological_levels(n, pairs, ()), ())
     if report.uniqueness:
         pairs, split = crossing_split_pairs(ds)

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from collections import Counter
 from fractions import Fraction
@@ -16,15 +17,21 @@ from ranklens import (
     IndexOutOfRange,
     InvalidSize,
     Observation,
+    RanklensError,
     SizeMismatch,
     StrategyProfile,
     Subgame,
+    block_difference_certificate,
     full_subgame,
     game_rank,
     game_to_text,
     rational_matrix_rank,
+    rationalize_auto,
+    rationalize_general,
     rationalizes,
     strict_equilibria,
+    sylvester_hadamard,
+    two_regular_dataset,
     validate_dataset,
 )
 from ranklens import model
@@ -313,6 +320,39 @@ class TestRank:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             BimatrixGame.from_rows([[0.5]], [[1]])
+
+    def test_integer_rows_are_kept_on_the_game(self, monkeypatch):
+        # game_rank and block_difference_certificate read one scaling of
+        # A + B (one lcm per distinct pair of rows): the second reader finds
+        # it on the game.
+        game = rationalize_general(two_regular_dataset(sylvester_hadamard(2))).game
+        fresh = BimatrixGame(game.n, game.a, game.b)
+        lcm, calls = math.lcm, []
+        monkeypatch.setattr(math, "lcm", lambda *xs: calls.append(xs) or lcm(*xs))
+        assert game_rank(fresh) == game_rank(game)
+        scaled = len(calls)
+        assert scaled and block_difference_certificate(fresh, sylvester_hadamard(2))
+        assert len(calls) == scaled
+        assert model._integer_rows(fresh) is vars(fresh)["_integer_rows"]
+
+    def test_a_pickled_game_carries_no_memo_and_still_shares_its_rows(self):
+        checked = 0
+        for ds in reference_corpus():
+            try:
+                game = rationalize_auto(ds).game  # ranked, so the memo is set
+            except RanklensError:
+                continue
+            assert "_integer_rows" in vars(game)
+            fresh = BimatrixGame(game.n, game.a, game.b)
+            assert game == fresh and hash(game) == hash(fresh) and repr(game) == repr(fresh)
+            assert pickle.dumps(game) == pickle.dumps(fresh)
+            for copied in (pickle.loads(pickle.dumps(game)), copy.copy(game), copy.deepcopy(game)):
+                assert set(vars(copied)) == {"n", "a", "b"}
+                assert copied == game
+                assert len(set(map(id, copied.a + copied.b))) == len(set(map(id, game.a + game.b)))
+                assert game_rank(copied) == game_rank(game)
+            checked += 1
+        assert checked > 700
 
 
 def per_object_dataset(triples, n):

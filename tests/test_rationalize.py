@@ -7,6 +7,7 @@ import pytest
 
 from ranklens import (
     CycleWitness,
+    DataSet,
     NotLaminar,
     NotRationalizable,
     RanklensError,
@@ -32,6 +33,7 @@ from ranklens import (
     validate_dataset,
 )
 from ranklens.graphs import _edge_ids
+from ranklens.structure import _classes
 from .generators import (
     distinct_choices,
     is_zero_sum,
@@ -143,7 +145,7 @@ class TestZeroSum:
         # Laminar uniqueness data make the strong graph acyclic (see
         # test_strong_graph_is_acyclic_on_laminar_uniqueness_data); were it
         # not, the route would stop and name the cycle.
-        monkeypatch.setattr("ranklens.rationalize._strong_edge_ids", lambda dataset: [(0, 9), (9, 0)])
+        monkeypatch.setattr("ranklens.rationalize._strong_edge_ids", lambda dataset, rows, cols: [(0, 9), (9, 0)])
         with pytest.raises(AssertionError) as raised:
             rationalize_zero_sum(nested_dataset)
         assert str(raised.value) == (
@@ -386,6 +388,40 @@ class TestProperties:
         ds = uniqueness_variant(two_regular_dataset(sylvester_hadamard(2)))
         assert rationalize_auto(ds).method == "bounded_rank"
         assert classification_calls == {"satisfies_uniqueness": 1, "crossing_set": 1}
+
+    def test_a_laminar_dataset_is_classified_once_in_auto(self, monkeypatch):
+        """The zero-sum route takes its row and column classes from the
+        dataset's own classification: one rationalize_auto call makes one
+        classification and no second DataSet."""
+        import ranklens.model as model
+        import ranklens.structure as structure
+
+        made = Counter()
+        init, post_init, checked = structure._Classification.__init__, DataSet.__post_init__, model._checked_dataset
+
+        def counted(name, original):
+            def call(*args):
+                made[name] += 1
+                return original(*args)
+            return call
+
+        rng = Random(83)
+        for n in (24, 96):
+            drawn = random_laminar_unique_dataset(rng, n)
+            while drawn.subgames() == (full_subgame(n),):
+                drawn = random_laminar_unique_dataset(rng, n)
+            ds = dataset_from_text(dataset_to_text(drawn))
+            monkeypatch.setattr(structure._Classification, "__init__", counted("classification", init))
+            monkeypatch.setattr(DataSet, "__post_init__", counted("dataset", post_init))
+            monkeypatch.setattr(model, "_checked_dataset", counted("dataset", checked))
+            cert = rationalize_auto(ds)
+            monkeypatch.undo()
+            assert cert.method == "zero_sum"
+            assert made == {"classification": 1}
+            made.clear()
+            # The route did price a quotient: some class repeats.
+            rows, cols = _classes(ds)
+            assert max(rows) + 1 < n and max(cols) + 1 < n
 
     def test_routes_answer_alike_on_warmed_and_fresh_datasets(self):
         routes = (rationalize_auto, rationalize_zero_sum, rationalize_bounded_rank, rationalize_general,
