@@ -5,7 +5,8 @@ whitespace, trailing newline. Parsing accepts any JSON layout;
 canonicalization is byte-idempotent. Rationals render as decimal integer
 strings or 'p/q' strings in lowest terms; a string entry must have the
 form [+-]?[0-9]+(/[0-9]+)?, so no decimal point, exponent, space or
-underscore reaches Fraction.
+underscore reaches int or Fraction. An integral entry parses to an int,
+any other to a Fraction.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import partial
 from itertools import chain, repeat
 from typing import Any
 
 from .errors import DocumentError
-from .model import BimatrixGame, DataSet, _map_once, validate_dataset
+from .model import BimatrixGame, DataSet, _map_once, _rational, validate_dataset
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGERS = re.compile(r"[+-]?[0-9]+(?:,[+-]?[0-9]+)*")
 
 
 def canonical_json(document: dict) -> str:
@@ -108,26 +109,32 @@ def dataset_from_text(text: str) -> DataSet:
 
 
 def _memoize(memo: dict, entries, row: list, name: str, r: int) -> None:
-    """Parse each new entry of entries, in order, into memo; a bad one is
-    reported at its first cell in row r (0-based) of matrix name. An
-    integer string goes through int, not Fraction's own string parser."""
-    for entry in dict.fromkeys(entries):
-        if entry in memo:
-            continue
-        value = entry
+    """Parse each new entry of entries into memo; a bad one is reported at
+    its first cell in row r (0-based) of matrix name. New integer strings
+    are checked by one match of their comma-joined text (whose commas must
+    all be joins) and go through int in bulk; anything else, or an int over
+    the digit limit, is parsed in order, so the first bad entry is named."""
+    new = set(entries).difference(memo)
+    if not new:
+        return
+    if {str}.issuperset(map(type, new)):
+        joined = ",".join(new)
+        if joined.count(",") == len(new) - 1 and _INTEGERS.fullmatch(joined):
+            try:
+                memo.update(zip(new, map(int, new)))
+                return
+            except ValueError:
+                pass
+    for entry in [x for x in dict.fromkeys(entries) if x in new]:
         try:
-            if isinstance(value, str):
-                match = _RATIONAL.fullmatch(value)
-                if not match:
-                    raise ValueError(f"Invalid literal for Fraction: {value!r}")
-                if not match[1]:
-                    value = int(value)
-            memo[entry] = Fraction(value)
+            if isinstance(entry, str) and not _RATIONAL.fullmatch(entry):
+                raise ValueError(f"Invalid literal for Fraction: {entry!r}")
+            memo[entry] = _rational(entry) if isinstance(entry, str) and "/" in entry else int(entry)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{name}[{r + 1},{row.index(entry) + 1}] is not a valid rational: {exc}") from None
 
 
-def _row_from_document(row: list, memo: dict, row_memo: dict, name: str, r: int) -> tuple[Fraction, ...]:
+def _row_from_document(row: list, memo: dict, row_memo: dict, name: str, r: int) -> tuple[int | Fraction, ...]:
     """Parse row r (0-based) of matrix name.
 
     The row's types are checked first. At a cell that is not an integer or
@@ -152,11 +159,13 @@ def _row_from_document(row: list, memo: dict, row_memo: dict, name: str, r: int)
 
 
 def game_to_document(game: BimatrixGame) -> dict:
-    """Each distinct row object and each distinct entry object is rendered
-    once; every row of the document is its own list."""
-    texts: dict = {}
+    """Each distinct value is rendered once, and each distinct row object
+    is mapped to those texts once; every row of the document is its own
+    list."""
+    distinct_rows = {id(row): row for row in game.a + game.b}.values()
+    texts = {value: str(value) for value in set(chain.from_iterable(distinct_rows))}
     rows: dict = {}
-    row_texts = partial(_map_once, str, memo=texts)
+    row_texts = lambda row: list(map(texts.__getitem__, row))
     return {
         "n": game.n,
         "A": list(map(list.copy, _map_once(row_texts, game.a, rows))),

@@ -21,7 +21,6 @@ block.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Collection, Iterable, Sequence
 
 from .model import BimatrixGame, DataSet, Observation
@@ -214,28 +213,25 @@ def _payoffs(levels: dict[int, int], rows: Sequence[int], cols: Sequence[int]) -
     touched vertices are priced. Each distinct row of payoffs becomes one
     tuple, shared by the rows that repeat it (every untouched row is all
     level 1, and every row of a class is one row), and each payoff one
-    Fraction, shared by its cells.
+    int, shared by its cells (a sweep shares one int per level).
     """
     width = max(cols) + 1
     size = (max(rows) + 1) * width
     a = [1] * size
     b = [-1] * size
+    negated = {level: -level for level in levels.values()}
     for vid, level in levels.items():
         block, tag = divmod(vid, 3)
         if tag != 2:
             a[block] = level
         if tag != 1:
-            b[block] = -level
-    prices = {x: Fraction(x) for level in {1, *levels.values()} for x in (level, -level)}
-    shared: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+            b[block] = negated[level]
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     matrices = []
     for payoffs in (a, b):
         class_rows = []
         for k in range(0, size, width):
-            key = tuple(map(payoffs[k:k + width].__getitem__, cols))
-            row = shared.get(key)
-            if row is None:
-                row = shared[key] = tuple(map(prices.__getitem__, key))
-            class_rows.append(row)
+            row = tuple(map(payoffs[k:k + width].__getitem__, cols))
+            class_rows.append(shared.setdefault(row, row))
         matrices.append(tuple(map(class_rows.__getitem__, rows)))
     return BimatrixGame(len(rows), *matrices)

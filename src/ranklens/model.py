@@ -1,9 +1,10 @@
 """Exact data model: observed play, bimatrix games, equilibrium tests, rank.
 
 All indices are 1-based, matching the notation of the revealed-preference
-literature this library serves. Payoffs are exact rationals; nothing in
-this module touches floating point. Every type is immutable and stored in
-a canonical form, so equal objects compare and serialize identically.
+literature this library serves. Payoffs are exact: an int when integral,
+else a Fraction; nothing in this module touches floating point. Every type
+is immutable and stored in a canonical form, so equal objects compare and
+serialize identically.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
-from operator import add
+from operator import add, attrgetter, is_
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -26,36 +27,43 @@ from .errors import (
 RationalLike = Union[int, str, Fraction]
 
 
-def _to_fraction(value: RationalLike) -> Fraction:
-    if type(value) is Fraction:
+def _rational(value: RationalLike) -> int | Fraction:
+    """The value as a plain int when integral, else as a Fraction of plain ints; floats are refused."""
+    if type(value) is int:
         return value
     if isinstance(value, float):
         raise TypeError("floating-point payoffs are not supported; use Fraction, int, or 'p/q' strings")
-    return Fraction(value)
+    fraction = value if type(value) is Fraction else Fraction(value)
+    numerator, denominator = int(fraction.numerator), int(fraction.denominator)
+    if denominator == 1:
+        return numerator
+    # int() keeps a plain int as it is, so this asks whether both already were.
+    if numerator is fraction.numerator and denominator is fraction.denominator:
+        return fraction
+    return Fraction(numerator, denominator)
 
 
-def _fraction_row(row) -> tuple[Fraction, ...]:
-    """The row as a tuple of Fractions; a row that already is one is kept
-    as it is."""
-    return row if type(row) is tuple and set(map(type, row)) == {Fraction} else tuple(map(_to_fraction, row))
+def _rational_rows(matrix) -> tuple[tuple[int | Fraction, ...], ...]:
+    """The matrix as tuples of _rational entries, each distinct row and entry
+    object converted once, so what is shared on the way in stays shared; a
+    row that already is a tuple of such entries is kept as it is."""
+    rows, kept, entries = tuple(matrix), [], {}
 
+    def rational_row(row):
+        if type(row) is tuple and {int}.issuperset(map(type, row)):
+            return row
+        kept.append(row := tuple(row))  # entries maps ids, so the row's entries stay alive
+        converted = tuple(_map_once(_rational, row, entries))
+        return row if all(map(is_, converted, row)) else converted
 
-def _fraction_rows(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """The matrix as tuples of Fractions, each distinct row object
-    converted once, so rows shared on the way in stay shared."""
-    rows = tuple(matrix)
-    return tuple(_map_once(_fraction_row, rows, {}))
+    return tuple(_map_once(rational_row, rows, {}))
 
 
 def _map_once(fn, items, memo: dict) -> list:
     """fn of every item of a sequence, as a list, with fn called once per
     distinct item object: memo maps id() to the result. The caller keeps
-    the items alive while memo is in use, so no id is reused.
-
-    Games share one object per row and per value where they can (synthesis
-    and the game document memo share both), so that is once per distinct
-    row or value, and items that memo already knows are mapped without a
-    Python-level loop.
+    the items alive while memo is in use, so no id is reused. Items that
+    memo already knows are mapped without a Python-level loop.
     """
     ids = list(map(id, items))
     try:
@@ -272,7 +280,7 @@ def validate_dataset(
 
 @dataclass(frozen=True)
 class BimatrixGame:
-    """An n x n two-player game with exact rational payoffs (A, B).
+    """An n x n two-player game with exact payoffs (A, B): ints where integral, else Fractions.
 
     The integer rows of A + B (``_integer_rows``) are computed once and
     kept as a private instance attribute beside the fields; equality,
@@ -280,11 +288,11 @@ class BimatrixGame:
     """
 
     n: int
-    a: tuple[tuple[Fraction, ...], ...]
-    b: tuple[tuple[Fraction, ...], ...]
+    a: tuple[tuple[int | Fraction, ...], ...]
+    b: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        a, b = _fraction_rows(self.a), _fraction_rows(self.b)
+        a, b = _rational_rows(self.a), _rational_rows(self.b)
         for name, matrix in (("A", a), ("B", b)):
             if len(matrix) != self.n or any(len(row) != self.n for row in matrix):
                 raise SizeMismatch(f"{name} must be {self.n}x{self.n}")
@@ -361,9 +369,7 @@ def rationalizes(game: BimatrixGame, dataset: DataSet) -> VerificationReport:
         deviations += [("B", game.b, i, j2) for j2 in cols if j2 != j]
         for name, matrix, r, c in deviations:
             own, other = matrix[i - 1][j - 1], matrix[r - 1][c - 1]
-            # Integer payoffs, the only kind synthesis makes, compare by
-            # numerator, which skips Fraction's generic comparison.
-            if (own.numerator <= other.numerator if own.denominator == 1 == other.denominator else own <= other):
+            if own <= other:
                 failures.append(ObservationFailure(obs, f"{name}[{i},{j}]={own} <= {name}[{r},{c}]={other}"))
                 break
     return VerificationReport(ok=not failures, failures=tuple(failures))
@@ -376,14 +382,11 @@ def rational_matrix_rank(rows: Sequence[Sequence[RationalLike]]) -> int:
     Bareiss fraction-free Gaussian elimination, pivoting on the first
     nonzero entry of each column. No floating point anywhere.
     """
-    matrix = [[_to_fraction(x) for x in row] for row in rows]
+    matrix = [list(map(_rational, row)) for row in rows]
     if any(len(row) != len(matrix[0]) for row in matrix):
         raise SizeMismatch("ragged matrix")
-    m: list[list[int]] = []
-    for row in matrix:
-        scale = math.lcm(*(x.denominator for x in row))
-        m.append([int(x * scale) for x in row])
-    return _bareiss_rank(m)
+    scales = [math.lcm(*(x.denominator for x in row)) for row in matrix]
+    return _bareiss_rank([[int(x * scale) for x in row] for row, scale in zip(matrix, scales)])
 
 
 def _bareiss_rank(m: list[list[int]]) -> int:
@@ -426,23 +429,24 @@ def _integer_rows(game: BimatrixGame) -> list[tuple[int, list[int]]]:
     the row's denominators and row is the row times scale, as ints.
 
     Each is built once per distinct pair of row objects and shared by the
-    rows with that pair. Each distinct entry object's numerator and
-    denominator are read once. The list is kept on the game, so ``game_rank``
-    and ``block_difference_certificate`` scale a game once between them,
-    and callers must change neither the list nor its rows.
+    rows with that pair. A pair of int rows is summed at scale 1; in other
+    pairs each distinct entry's numerator and denominator are read once.
+    The list is kept on the game, so ``game_rank`` and
+    ``block_difference_certificate`` scale a game once between them, and
+    callers must change neither the list nor its rows.
     """
     integer_rows = getattr(game, "_integer_rows", None)
     if integer_rows is not None:
         return integer_rows
     memo: dict = {}
-    ratio = Fraction.as_integer_ratio
+    ratio = attrgetter("numerator", "denominator")
 
     def integer_row(row_a, row_b) -> tuple[int, list[int]]:
+        if {int}.issuperset(map(type, row_a)) and {int}.issuperset(map(type, row_b)):
+            return 1, list(map(add, row_a, row_b))
         nums_a, dens_a = zip(*_map_once(ratio, row_a, memo))
         nums_b, dens_b = zip(*_map_once(ratio, row_b, memo))
         scale = math.lcm(*dens_a, *dens_b)
-        if scale == 1:
-            return 1, list(map(add, nums_a, nums_b))
         terms = zip(nums_a, dens_a, nums_b, dens_b)
         return scale, [x * (scale // dx) + y * (scale // dy) for x, dx, y, dy in terms]
 

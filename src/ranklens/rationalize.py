@@ -17,8 +17,6 @@ Four synthesis routes, by structure:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache
 
 from .errors import NotLaminar, NotRationalizable, SubgameNotFull, UniquenessViolated
 from .graphs import _cells, _coordinates, _cycle_text, _edge_ids, _payoffs, _strong_edge_ids, _sweep
@@ -152,29 +150,22 @@ def rationalize_rank_one(dataset: DataSet) -> RationalizationCertificate:
                 )
             seen[coord] = choice
 
+    # Choice rows (columns) take labels 1..ell in choice order, the others follow.
     ell = len(choices)
-    row_map = {choice.row: k for k, choice in enumerate(choices, start=1)}
-    col_map = {choice.col: k for k, choice in enumerate(choices, start=1)}
-    next_label = ell + 1
-    for r in range(1, n + 1):
-        if r not in row_map:
-            row_map[r] = next_label
-            next_label += 1
-    next_label = ell + 1
-    for c in range(1, n + 1):
-        if c not in col_map:
-            col_map[c] = next_label
-            next_label += 1
+    row_map, col_map = (
+        {x: k for k, x in enumerate([*seen, *(x for x in range(1, n + 1) if x not in seen)], start=1)}
+        for seen in (rows_seen, cols_seen)
+    )
 
-    # Each cell's A once, B = 4ij - A, and one Fraction per distinct value.
-    fraction = cache(Fraction)
+    # Each cell's A once, B = 4ij - A, and one int object per distinct value.
     labels = [col_map[c] for c in range(1, n + 1)]
-    a, b = [], []
+    a, b, values = [], [], {}
     for r in range(1, n + 1):
         i = row_map[r]
         row_a = [2 * i * j - i * i + j * j if i <= ell or j <= ell else 0 for j in labels]
-        a.append(tuple(map(fraction, row_a)))
-        b.append(tuple(map(fraction, [4 * i * j - x for j, x in zip(labels, row_a)])))
+        row_b = [4 * i * j - x for j, x in zip(labels, row_a)]
+        a.append(tuple(map(values.setdefault, row_a, row_a)))
+        b.append(tuple(map(values.setdefault, row_b, row_b)))
     game = BimatrixGame(n, tuple(a), tuple(b))
     return _certify(game, dataset, "rank_one", rank_bound=1, uniqueness_guarantee=True)
 

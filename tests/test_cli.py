@@ -259,6 +259,18 @@ class TestVerify:
             "message": "A[1,1] is not a valid rational: Invalid literal for Fraction: '1.5'",
         }
 
+    def test_integer_string_over_the_digit_limit(self, write, capsys):
+        # The bare JSON literal fails in json.loads (TestParseErrors); the
+        # same digits as a string, in a row of integer strings, fail at
+        # their cell.
+        game = write("game.json", _over_digit_limit('{"A":[["HUGE","1"],["2","3"]],"B":[["1","0"],["0","1"]],"n":2}'))
+        assert main(["verify", game, write("ds.json", DIAG)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "DocumentError"
+        assert record["message"].startswith("A[1,1] is not a valid rational: Exceeds the limit ")
+
     def test_size_mismatch(self, write, capsys, known_rank_one_game):
         game = write("game.json", game_to_text(known_rank_one_game))
         data = write("ds.json", '{"n":3,"observations":[]}')

@@ -233,10 +233,11 @@ class TestRank:
             assert game_rank(game) == minor_rank(total) == rational_matrix_rank(total)
 
     def test_shared_and_separate_entry_objects_agree(self):
-        # game_rank and game_to_text work once per distinct entry object. A
-        # game whose equal entries are one object must read like one whose
-        # every cell is an object of its own; rows mix integer and rational
-        # entries, so some scale by 1 and some do not.
+        # game_rank and game_to_text work once per distinct row or entry
+        # object. A game whose equal entries are one object must read like
+        # one whose every non-integral cell is a Fraction object of its own;
+        # rows mix int and Fraction entries, so some are summed as ints and
+        # some scale through the lcm.
         rng = Random(13)
         for _ in range(80):
             size = rng.randint(1, 6)
@@ -247,7 +248,10 @@ class TestRank:
             separate = BimatrixGame.from_rows(
                 *([[Fraction(x.numerator, x.denominator) for x in row] for row in m] for m in (a, b))
             )
-            assert len({id(x) for m in (separate.a, separate.b) for row in m for x in row}) == 2 * size * size
+            cells = [x for m in (separate.a, separate.b) for row in m for x in row]
+            rational = [x for x in cells if type(x) is not int]
+            assert {type(x) for x in rational} <= {Fraction} and all(x.denominator > 1 for x in rational)
+            assert len(set(map(id, rational))) == len(rational)
             assert separate == shared
             assert game_rank(shared) == game_rank(separate) == rational_matrix_rank(sum_matrix(shared))
             assert game_to_text(shared) == game_to_text(separate)
@@ -321,19 +325,58 @@ class TestRank:
         with pytest.raises(TypeError):
             BimatrixGame.from_rows([[0.5]], [[1]])
 
+    def test_integral_entries_are_plain_ints(self):
+        class Payoff(int):
+            pass
+
+        for value in (Fraction(4, 2), "4/2", "2", 2, Payoff(2)):
+            normalized = model._rational(value)
+            assert type(normalized) is int and normalized == 2, value
+        assert type(model._rational(True)) is int and model._rational(True) == 1
+        half = Fraction(1, 2)
+        assert model._rational(half) is half and model._rational("2/4") == half
+        assert type(model._rational("2/4")) is Fraction
+        with pytest.raises(TypeError):
+            model._rational(2.0)
+        game = BimatrixGame.from_rows([[Fraction(4, 2), "1/2"], [True, Payoff(3)]], [[0, 0], [0, 0]])
+        assert [list(map(type, row)) for row in game.a] == [[int, Fraction], [int, int]]
+        # A tuple row of plain ints is kept as it is.
+        row = (1, 2)
+        assert BimatrixGame(2, (row, row), (row, row)).a[0] is row
+
+    def test_int_and_fraction_games_are_equal(self):
+        rows = [[3, -1, 0], [0, 5, 7], [2, 2, 2]]
+        ints = BimatrixGame.from_rows(rows, rows[::-1])
+        fractions = BimatrixGame.from_rows(*([[Fraction(x) for x in row] for row in m] for m in (rows, rows[::-1])))
+        assert ints == fractions and hash(ints) == hash(fractions) and repr(ints) == repr(fractions)
+        assert {type(x) for m in (fractions.a, fractions.b) for row in m for x in row} == {int}
+        assert repr(ints).startswith("BimatrixGame(n=3, a=((3, -1, 0),")
+
+    def test_numpy_integer_entries_stay_exact(self):
+        # Fraction(numpy.int64(x)) keeps a numpy numerator, whose sums wrap
+        # at 64 bits; entries are stored as plain ints instead.
+        np = pytest.importorskip("numpy")
+        rows = [[np.int64(-2**63), np.int64(0)], [np.int32(0), np.int64(0)]]
+        game = BimatrixGame.from_rows(rows, rows)
+        assert {type(x) for m in (game.a, game.b) for row in m for x in row} == {int}
+        assert game_rank(game) == 1
+        assert rational_matrix_rank(rows) == 1
+
     def test_integer_rows_are_kept_on_the_game(self, monkeypatch):
         # game_rank and block_difference_certificate read one scaling of
-        # A + B (one lcm per distinct pair of rows): the second reader finds
-        # it on the game.
+        # A + B (one lcm per distinct pair of rows that holds a Fraction; a
+        # pair of int rows is summed as it is): the second reader finds it
+        # on the game. Halving A and B keeps the sign pattern of A + B.
         game = rationalize_general(two_regular_dataset(sylvester_hadamard(2))).game
-        fresh = BimatrixGame(game.n, game.a, game.b)
+        halved = BimatrixGame(game.n, *(tuple(tuple(Fraction(x, 2) for x in row) for row in m) for m in (game.a, game.b)))
         lcm, calls = math.lcm, []
         monkeypatch.setattr(math, "lcm", lambda *xs: calls.append(xs) or lcm(*xs))
-        assert game_rank(fresh) == game_rank(game)
+        assert game_rank(BimatrixGame(game.n, game.a, game.b)) == game_rank(game) and not calls
+        assert game_rank(halved) == game_rank(game)
         scaled = len(calls)
-        assert scaled and block_difference_certificate(fresh, sylvester_hadamard(2))
+        assert scaled and block_difference_certificate(halved, sylvester_hadamard(2))
         assert len(calls) == scaled
-        assert model._integer_rows(fresh) is vars(fresh)["_integer_rows"]
+        assert model._integer_rows(halved) is vars(halved)["_integer_rows"]
 
     def test_a_pickled_game_carries_no_memo_and_still_shares_its_rows(self):
         checked = 0

@@ -1,16 +1,19 @@
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from random import Random
 
 import pytest
 
 from ranklens import (
+    BimatrixGame,
     CycleWitness,
     DataSet,
     NotLaminar,
     NotRationalizable,
     RanklensError,
+    SignMatrix,
     StrategyProfile,
     SubgameNotFull,
     UniquenessViolated,
@@ -18,7 +21,9 @@ from ranklens import (
     dataset_from_text,
     dataset_to_text,
     full_subgame,
+    game_from_text,
     game_rank,
+    game_to_text,
     is_rationalizable,
     rationalize_auto,
     rationalize_bounded_rank,
@@ -422,6 +427,48 @@ class TestProperties:
             # The route did price a quotient: some class repeats.
             rows, cols = _classes(ds)
             assert max(rows) + 1 < n and max(cols) + 1 < n
+
+    def test_synthesized_games_hold_ints(self):
+        # Every route prices by levels, or by integer formulas for rank_one,
+        # so its game and the game its document parses to hold only plain
+        # ints, one object per distinct value. The same game with its
+        # entries forced to Fractions past the constructor, as an old pickle
+        # holds them, takes the general paths and reads alike.
+        routes = (rationalize_rank_one, rationalize_zero_sum, rationalize_bounded_rank, rationalize_general)
+        rng = Random(71)
+        wide = [random_laminar_unique_dataset(rng, n) for n in (96, 128, 192) for _ in range(2)]
+        wide += [validate_dataset([((k, 9 - k), range(1, n + 1), range(1, n + 1)) for k in range(1, 9)], n)
+                 for n in (96, 192)]
+        signs = [sylvester_hadamard(k) for k in (2, 3, 4)]
+        signs += [SignMatrix(tuple(tuple(rng.choice((-1, 1)) for _ in range(1 << k)) for _ in range(1 << k)))
+                  for k in (2, 3, 4)]
+        hadamard = [ds for sign in signs for ds in (two_regular_dataset(sign), uniqueness_variant(two_regular_dataset(sign)))]
+        methods = Counter()
+        for ds in chain(reference_corpus(), wide, hadamard):
+            for route in routes:
+                try:
+                    certificate = route(ds)
+                except RanklensError:
+                    continue
+                game, text = certificate.game, game_to_text(certificate.game)
+                for held in (game, game_from_text(text)):
+                    cells = [x for m in (held.a, held.b) for row in m for x in row]
+                    assert {type(x) for x in cells} == {int}, certificate.method
+                    assert len(set(map(id, cells))) == len(set(cells)), certificate.method
+                methods[certificate.method] += 1
+                if game.n > 8:
+                    continue
+                forced = object.__new__(BimatrixGame)
+                object.__setattr__(forced, "n", game.n)
+                for name in ("a", "b"):
+                    object.__setattr__(forced, name, tuple(tuple(map(Fraction, row)) for row in getattr(game, name)))
+                assert {type(x) for row in forced.a for x in row} == {Fraction}
+                assert forced == game and game_rank(forced) == certificate.rank
+                assert rationalizes(forced, ds) == rationalizes(game, ds)
+                assert game_to_text(forced) == text
+                full = full_subgame(game.n)
+                assert strict_equilibria(forced, full) == strict_equilibria(game, full)
+        assert min(methods.values()) > 20 and len(methods) == 4, methods
 
     def test_routes_answer_alike_on_warmed_and_fresh_datasets(self):
         routes = (rationalize_auto, rationalize_zero_sum, rationalize_bounded_rank, rationalize_general,
