@@ -4,6 +4,9 @@ Exit codes: 0 positive result, 1 negative analytic result (not
 rationalizable, verification failure, no game found), 2 precondition or
 usage violation, 3 malformed input. Results go to stdout (or --output);
 error records are one-line JSON on stderr.
+
+Each command imports the layers beyond documents and model when it runs,
+so a process loads only the code its command uses.
 """
 
 from __future__ import annotations
@@ -27,18 +30,7 @@ from .errors import (
     PreconditionError,
     SizeLimitExceeded,
 )
-from .hadamard import DEFAULT_ORDER_CAP, sylvester_hadamard, two_regular_dataset, uniqueness_variant
-from .model import game_rank, rationalizes
-from .oracle import SearchConfig, brute_force_min_rank
-from .rationalize import (
-    is_rationalizable,
-    rationalize_auto,
-    rationalize_bounded_rank,
-    rationalize_general,
-    rationalize_rank_one,
-    rationalize_zero_sum,
-)
-from .structure import analyze
+from .model import DEFAULT_ORDER_CAP, game_rank, rationalizes
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -47,12 +39,13 @@ EXIT_MALFORMED = 3
 
 SIZE_CAP_ENV = "RANKLENS_SIZE_CAP"
 
+# The route in ranklens.rationalize of each --method choice.
 _METHODS = {
-    "auto": rationalize_auto,
-    "rank1": rationalize_rank_one,
-    "zerosum": rationalize_zero_sum,
-    "bounded": rationalize_bounded_rank,
-    "general": rationalize_general,
+    "auto": "rationalize_auto",
+    "rank1": "rationalize_rank_one",
+    "zerosum": "rationalize_zero_sum",
+    "bounded": "rationalize_bounded_rank",
+    "general": "rationalize_general",
 }
 
 
@@ -94,6 +87,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .rationalize import is_rationalizable
+    from .structure import analyze
+
     dataset = dataset_from_text(_read_file(args.dataset))
     report = analyze(dataset)
     document = {
@@ -113,12 +109,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_rationalize(args: argparse.Namespace) -> int:
+    from . import rationalize
+
     dataset = dataset_from_text(_read_file(args.dataset))
     # A route builds an n x n game; the largest generated dataset has n = 2 * cap.
     cap = _size_cap()
     if dataset.n > 2 * cap:
         raise SizeLimitExceeded(f"order n={dataset.n} exceeds twice the size cap {cap}")
-    method = _METHODS[args.method]
+    method = getattr(rationalize, _METHODS[args.method])
     try:
         certificate = method(dataset)
     except NotRationalizable as exc:
@@ -174,6 +172,8 @@ def _size_cap() -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .hadamard import sylvester_hadamard, two_regular_dataset, uniqueness_variant
+
     sign = sylvester_hadamard(args.k, size_cap=_size_cap())
     dataset = two_regular_dataset(sign)
     if args.variant == "unique":
@@ -183,6 +183,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_minrank(args: argparse.Namespace) -> int:
+    from .oracle import SearchConfig, brute_force_min_rank
+
     dataset = dataset_from_text(_read_file(args.dataset))
     config = SearchConfig(max_abs_payoff=args.max_abs)
     result = brute_force_min_rank(dataset, config)

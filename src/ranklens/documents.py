@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from itertools import chain, repeat
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import DocumentError
 from .model import BimatrixGame, DataSet, _map_once, _rational, validate_dataset
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _INTEGERS = re.compile(r"[+-]?[0-9]+(?:,[+-]?[0-9]+)*")

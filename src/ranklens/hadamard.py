@@ -29,6 +29,7 @@ from .errors import (
     ZeroSignEntry,
 )
 from .model import (
+    DEFAULT_ORDER_CAP,
     BimatrixGame,
     DataSet,
     SignMatrix,
@@ -38,12 +39,6 @@ from .model import (
     _sign,
     validate_dataset,
 )
-
-# The largest order whose generate -> analyze -> rationalize -> verify CLI
-# pipeline on the uniqueness variant ends within 25 s: order 128 (n = 256)
-# takes about 8 s on a 2-core x86-64 host under Python 3.11, and order 256
-# spends over 36 s in generate and analyze alone.
-DEFAULT_ORDER_CAP = 2 ** 7
 
 
 def sylvester_hadamard(k: int, size_cap: int = DEFAULT_ORDER_CAP) -> SignMatrix:

@@ -10,11 +10,9 @@ serialize identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from itertools import chain
 from operator import add, attrgetter, is_
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import (
     ChoiceOutsideSubgame,
@@ -24,7 +22,17 @@ from .errors import (
     SizeMismatch,
 )
 
-RationalLike = Union[int, str, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RationalLike = Union[int, str, "Fraction"]
+
+# The largest order whose generate -> analyze -> rationalize -> verify CLI
+# pipeline on the uniqueness variant ends within 25 s: order 128 (n = 256)
+# takes about 5 s on a 2-core x86-64 host under Python 3.11, and order 256
+# spends over 36 s in generate and analyze alone. It bounds the Hadamard
+# generators, and twice it bounds the order of a game the CLI synthesizes.
+DEFAULT_ORDER_CAP = 2 ** 7
 
 
 def _rational(value: RationalLike) -> int | Fraction:
@@ -33,6 +41,8 @@ def _rational(value: RationalLike) -> int | Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("floating-point payoffs are not supported; use Fraction, int, or 'p/q' strings")
+    from fractions import Fraction  # loaded at the first value that is not an int
+
     fraction = value if type(value) is Fraction else Fraction(value)
     numerator, denominator = int(fraction.numerator), int(fraction.denominator)
     if denominator == 1:
@@ -77,10 +87,43 @@ def _sign(value) -> int:
     return (value > 0) - (value < 0)
 
 
-def _field_state(obj) -> dict:
-    """A dataclass's pickled state: its fields, without the private memos
-    that it keeps beside them."""
-    return {field.name: getattr(obj, field.name) for field in fields(obj)}
+class _Frozen:
+    """Base of the immutable value types DataSet, BimatrixGame and SignMatrix.
+
+    A subclass names its fields in ``_fields`` and lists them in
+    ``__slots__`` with its private memos; its constructor sets the fields
+    through ``object.__setattr__``, and only a memo is set later. Equality
+    (with the same class only), hashing and repr read the fields alone, and
+    pickling and copying re-run the constructor on them, so no memo leaves
+    the object. Instances can be weakly referenced.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class StrategyProfile(NamedTuple):
@@ -170,35 +213,36 @@ class Observation(_ObservationFields):
         return f"({self.choice},{self.subgame})"
 
 
-@dataclass(frozen=True)
-class DataSet:
+class DataSet(_Frozen):
     """A set of observations over an n x n strategy space.
 
     Set semantics: observations are deduplicated and kept sorted by
     (choice, subgame), so equal datasets have identical representations.
 
     What is derived from the observations (the sorted subgames here, the
-    classification in ``structure``) is computed once and kept as private
-    instance attributes beside the fields; equality, hashing, repr and
-    pickling see only the fields.
+    classification in ``structure``) is computed once and kept in private
+    slots beside the fields; equality, hashing, repr and pickling see only
+    the fields.
     """
 
+    __slots__ = ("n", "observations", "_subgames", "_classification")
+    _fields = ("n", "observations")
     n: int
     observations: tuple[Observation, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int:
-            raise InvalidSize(f"game size must be an int, got {self.n!r}")
-        if self.n < 1:
-            raise InvalidSize(f"game size must be at least 1, got {self.n}")
-        observations = tuple(sorted(set(self.observations)))
+    def __init__(self, n: int, observations: Iterable[Observation]) -> None:
+        if type(n) is not int:
+            raise InvalidSize(f"game size must be an int, got {n!r}")
+        if n < 1:
+            raise InvalidSize(f"game size must be at least 1, got {n}")
+        observations = tuple(sorted(set(observations)))
         for obs in observations:
             for index in (*obs.subgame.rows, *obs.subgame.cols):
-                if not 1 <= index <= self.n:
-                    raise IndexOutOfRange(f"index {index} outside 1..{self.n} in observation {obs}")
-        object.__setattr__(self, "observations", observations)
-
-    __getstate__ = _field_state
+                if not 1 <= index <= n:
+                    raise IndexOutOfRange(f"index {index} outside 1..{n} in observation {obs}")
+        set_field = object.__setattr__
+        set_field(self, "n", n)
+        set_field(self, "observations", observations)
 
     def subgames(self) -> tuple[Subgame, ...]:
         """Distinct subgames, in canonical order."""
@@ -239,9 +283,7 @@ def _checked_dataset(triples: Sequence[tuple], n: int) -> DataSet | None:
     if not all(row in distinct[grid][0] and col in distinct[grid][1] for (row, col), grid in keys):
         return None
     # The checks have passed, so the objects are made without them: _make
-    # skips the value types' __new__, and the DataSet skips __init__ and
-    # __post_init__. Its fields are set one by one in declaration order, as
-    # __init__ sets them, which keeps the compact attribute layout.
+    # skips the value types' __new__, and the DataSet skips __init__.
     subgames = tuple(map(Subgame._make, distinct))
     observations = tuple(Observation._make((choice, subgames[grid])) for choice, grid in keys)
     dataset, set_field = object.__new__(DataSet), object.__setattr__
@@ -278,18 +320,27 @@ def validate_dataset(
     return _checked_dataset(triples, n) or DataSet(n, _observations(triples))
 
 
-@dataclass(frozen=True)
-class BimatrixGame:
+class BimatrixGame(_Frozen):
     """An n x n two-player game with exact payoffs (A, B): ints where integral, else Fractions.
 
-    The integer rows of A + B (``_integer_rows``) are computed once and
-    kept as a private instance attribute beside the fields; equality,
-    hashing, repr and pickling see only the fields.
+    The constructor sets the fields and calls ``__post_init__``, which
+    normalizes and checks them. The integer rows of A + B
+    (``_integer_rows``) are computed once and kept in a private slot beside
+    the fields; equality, hashing, repr and pickling see only the fields.
     """
 
+    __slots__ = ("n", "a", "b", "_integer_rows")
+    _fields = ("n", "a", "b")
     n: int
     a: tuple[tuple[int | Fraction, ...], ...]
     b: tuple[tuple[int | Fraction, ...], ...]
+
+    def __init__(self, n: int, a: Sequence[Sequence[RationalLike]], b: Sequence[Sequence[RationalLike]]) -> None:
+        set_field = object.__setattr__
+        set_field(self, "n", n)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         a, b = _rational_rows(self.a), _rational_rows(self.b)
@@ -298,8 +349,6 @@ class BimatrixGame:
                 raise SizeMismatch(f"{name} must be {self.n}x{self.n}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-    __getstate__ = _field_state
 
     @classmethod
     def from_rows(
@@ -310,14 +359,15 @@ class BimatrixGame:
         return cls(len(a), tuple(map(tuple, a)), tuple(map(tuple, b)))
 
 
-@dataclass(frozen=True)
-class SignMatrix:
+class SignMatrix(_Frozen):
     """A square matrix over {-1, 0, +1}."""
 
+    __slots__ = ("entries",)
+    _fields = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
+    def __init__(self, entries: Iterable[Iterable[int]]) -> None:
+        entries = tuple(tuple(int(x) for x in row) for row in entries)
         m = len(entries)
         if any(len(row) != m for row in entries):
             raise SizeMismatch("sign matrix must be square")
@@ -340,8 +390,7 @@ def strict_equilibria(game: BimatrixGame, subgame: Subgame) -> frozenset[Strateg
     return frozenset(p for p in grid if p not in failed)
 
 
-@dataclass(frozen=True)
-class ObservationFailure:
+class ObservationFailure(NamedTuple):
     """An observation whose choice is not a strict equilibrium, with the
     first violated inequality spelled out."""
 
@@ -349,8 +398,7 @@ class ObservationFailure:
     inequality: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     failures: tuple[ObservationFailure, ...]
 
@@ -373,20 +421,6 @@ def rationalizes(game: BimatrixGame, dataset: DataSet) -> VerificationReport:
                 failures.append(ObservationFailure(obs, f"{name}[{i},{j}]={own} <= {name}[{r},{c}]={other}"))
                 break
     return VerificationReport(ok=not failures, failures=tuple(failures))
-
-
-def rational_matrix_rank(rows: Sequence[Sequence[RationalLike]]) -> int:
-    """Exact rank over the rationals.
-
-    Each row is scaled to integers (rank-preserving), then eliminated by
-    Bareiss fraction-free Gaussian elimination, pivoting on the first
-    nonzero entry of each column. No floating point anywhere.
-    """
-    matrix = [list(map(_rational, row)) for row in rows]
-    if any(len(row) != len(matrix[0]) for row in matrix):
-        raise SizeMismatch("ragged matrix")
-    scales = [math.lcm(*(x.denominator for x in row)) for row in matrix]
-    return _bareiss_rank([[int(x * scale) for x in row] for row, scale in zip(matrix, scales)])
 
 
 def _bareiss_rank(m: list[list[int]]) -> int:

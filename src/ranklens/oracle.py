@@ -10,10 +10,10 @@ The search enumerates each line once and combines the lines exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 from .errors import BudgetExceeded
 from .graphs import _edge_ids, _sweep
@@ -24,8 +24,14 @@ from .model import DataSet
 BOX_ROW_BUDGET = 1 << 15
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+# A bare field tuple, subclassed so that __new__ can check (see model.Subgame).
+class _SearchConfigFields(NamedTuple):
+    max_abs_payoff: int
+    max_n: int
+    zero_sum_shortcut: bool
+
+
+class SearchConfig(_SearchConfigFields):
     """Budget and behavior of brute_force_min_rank.
 
     max_abs_payoff bounds every matrix entry in absolute value and must be
@@ -39,13 +45,12 @@ class SearchConfig:
     enumeration fully independent of the graph machinery.
     """
 
-    max_abs_payoff: int = 3
-    max_n: int = 2
-    zero_sum_shortcut: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_abs_payoff < 0:
-            raise BudgetExceeded(f"max_abs_payoff must be nonnegative, got {self.max_abs_payoff}")
+    def __new__(cls, max_abs_payoff: int = 3, max_n: int = 2, zero_sum_shortcut: bool = True) -> "SearchConfig":
+        if max_abs_payoff < 0:
+            raise BudgetExceeded(f"max_abs_payoff must be nonnegative, got {max_abs_payoff}")
+        return super().__new__(cls, max_abs_payoff, max_n, zero_sum_shortcut)
 
 
 def _number(value: int) -> str:

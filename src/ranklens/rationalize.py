@@ -16,7 +16,7 @@ Four synthesis routes, by structure:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotLaminar, NotRationalizable, SubgameNotFull, UniquenessViolated
 from .graphs import _cells, _coordinates, _cycle_text, _edge_ids, _payoffs, _strong_edge_ids, _sweep
@@ -31,8 +31,7 @@ from .model import (
 from .structure import StructureReport, _classes, analyze
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     """A cycle of strict preferences that cannot all hold at once."""
 
     player: str  # "row" or "column"
@@ -50,8 +49,7 @@ class CycleWitness:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class RationalizabilityResult:
+class RationalizabilityResult(NamedTuple):
     rationalizable: bool
     witness: CycleWitness | None
 
@@ -85,8 +83,7 @@ def is_rationalizable(dataset: DataSet) -> RationalizabilityResult:
     return RationalizabilityResult(witness is None, witness)
 
 
-@dataclass(frozen=True)
-class RationalizationCertificate:
+class RationalizationCertificate(NamedTuple):
     """A synthesized game plus what it guarantees.
 
     rank is exact; rank_bound is the method's a priori guarantee (None

@@ -24,8 +24,8 @@ over which the zero-sum route builds and prices its graph.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .model import DataSet, Observation, StrategyProfile, Subgame
 
@@ -139,8 +139,7 @@ def crossing_set(dataset: DataSet) -> tuple[Subgame, ...]:
     return tuple(s for s, crosses in zip(subgames, crossing) if crosses)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     laminar: bool
     uniqueness: bool
     crossing_subgames: tuple[Subgame, ...]
@@ -151,8 +150,7 @@ class StructureReport:
     uniqueness_violation: tuple[Observation, Observation] | None
 
 
-@dataclass(frozen=True)
-class UniquenessCheck:
+class UniquenessCheck(NamedTuple):
     ok: bool
     violation: tuple[Observation, Observation] | None
 

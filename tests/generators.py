@@ -14,6 +14,7 @@ from random import Random
 from ranklens import (
     DataSet,
     RanklensError,
+    SizeMismatch,
     UniquenessCheck,
     satisfies_uniqueness,
     sylvester_hadamard,
@@ -173,6 +174,12 @@ def distinct_choices(dataset: DataSet) -> set:
     return {obs.choice for obs in dataset.observations}
 
 
+def filled_slots(value) -> set[str]:
+    """The slots of a DataSet, BimatrixGame or SignMatrix that hold a value:
+    its fields and the private memos computed so far."""
+    return {name for name in type(value).__slots__ if hasattr(value, name)}
+
+
 def sum_matrix(game) -> list:
     """A + B, entry by entry."""
     return [[x + y for x, y in zip(row_a, row_b)] for row_a, row_b in zip(game.a, game.b)]
@@ -195,6 +202,28 @@ def determinant(matrix) -> Fraction:
         minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
         total += (-1) ** j * entry * determinant(minor)
     return total
+
+
+def rational_matrix_rank(rows) -> int:
+    """Exact rank over the rationals, by Gaussian elimination on Fractions
+    of plain ints (a numpy integer's own numerator would wrap); a ragged
+    matrix raises SizeMismatch. The reference that game_rank is compared
+    with, and unlike minor_rank fast enough for the larger matrices."""
+    matrix = [[Fraction(int(x.numerator), int(x.denominator)) for x in map(Fraction, row)] for row in rows]
+    if any(len(row) != len(matrix[0]) for row in matrix):
+        raise SizeMismatch("ragged matrix")
+    rank = 0
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = matrix[rank]
+        for r in range(rank + 1, len(matrix)):
+            factor = matrix[r][col] / top[col]
+            matrix[r] = [x - factor * y for x, y in zip(matrix[r], top)]
+        rank += 1
+    return rank
 
 
 def minor_rank(rows) -> int:

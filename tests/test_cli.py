@@ -442,6 +442,27 @@ assert codes == [0, 0, 0, 0, 0, 0], codes
 assert "numpy" not in sys.modules, "numpy was loaded"
 """
 
+# One command in a fresh process: its exit code, then the package modules
+# and the slow-to-import standard modules that the process holds.
+LOADED_PROBE = """
+import json, sys
+from ranklens.cli import main
+
+code = main(sys.argv[1:])
+heavy = ("dataclasses", "inspect", "fractions")
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("ranklens.")),
+                  sorted(name for name in heavy if name in sys.modules)]))
+"""
+# What an interpreter holds of those standard modules before the package
+# runs: Python versions differ in what argparse, json, re and typing load.
+BASELINE_PROBE = """
+import argparse, json, re, sys, typing
+
+print(json.dumps(sorted(name for name in ("dataclasses", "inspect", "fractions") if name in sys.modules)))
+"""
+NESTED = '{"n":2,"observations":[{"choice":[1,1],"cols":[1,2],"rows":[1,2]},{"choice":[2,2],"cols":[2],"rows":[2]}]}\n'
+RATIONAL_GAME = '{"n":2,"A":[["1/2","4/2"],["-0",1]],"B":[["-1","+3/6"],[2,"-1"]]}\n'
+
 
 class TestStartup:
     def test_no_command_loads_numpy(self, write, tmp_path):
@@ -454,6 +475,53 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout.endswith('{"failures":[],"rank":2,"rationalizes":true}\n1\n')
+
+    @staticmethod
+    def _run(code: str, *argv: str):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.stderr == ""
+        return json.loads(proc.stdout)
+
+    def test_each_command_loads_only_its_layers(self, write, tmp_path):
+        diag, out = write("diag.json", DIAG), str(tmp_path / "out.json")
+        game = str(tmp_path / "game.json")
+        assert main(["rationalize", diag, "--output", game]) == 0
+        baseline = set(self._run(BASELINE_PROBE))
+        lean = {"ranklens.cli", "ranklens.documents", "ranklens.model", "ranklens.errors"}
+        runs = {
+            "validate": ["validate", diag],
+            "verify": ["verify", game, diag],
+            "generate": ["generate", "hadamard", "--k", "2", "--variant", "unique"],
+            "analyze": ["analyze", diag],
+            "rationalize": ["rationalize", diag],
+            "minrank": ["minrank", diag],
+        }
+        for command, argv in runs.items():
+            code, layers, heavy = self._run(LOADED_PROBE, *argv, "--output", out)
+            assert code == 0, command
+            assert set(heavy) <= baseline, (command, heavy)
+            layers = set(layers)
+            if command in ("validate", "verify"):
+                assert layers == lean, command
+            elif command == "generate":
+                assert layers == lean | {"ranklens.hadamard"}
+            elif command == "minrank":
+                assert not layers & {"ranklens.hadamard", "ranklens.rationalize"}, layers
+            else:
+                assert not layers & {"ranklens.hadamard", "ranklens.oracle"}, (command, layers)
+
+    def test_a_rational_game_loads_fractions_and_keeps_its_bytes(self, write, tmp_path):
+        out = tmp_path / "out.json"
+        argv = ["verify", write("rational.json", RATIONAL_GAME), write("nested.json", NESTED), "--output", str(out)]
+        code, _, heavy = self._run(LOADED_PROBE, *argv)
+        assert code == 1 and "fractions" in heavy
+        assert out.read_text() == (
+            '{"failures":[{"choice":[1,1],"cols":[1,2],"inequality":"B[1,1]=-1 <= B[1,2]=1/2","rows":[1,2]}],'
+            '"rank":2,"rationalizes":false}\n'
+        )
 
 
 class TestHugeIndices:

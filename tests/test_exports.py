@@ -1,6 +1,11 @@
-from types import ModuleType
+"""The exported names, read in a fresh interpreter, so that no import made
+by another test module can fill the package's namespace first."""
 
-import ranklens
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 PUBLIC_NAMES = {
     # errors
@@ -16,8 +21,7 @@ PUBLIC_NAMES = {
     "two_regular_sign_pattern", "uniqueness_variant",
     # model
     "BimatrixGame", "DataSet", "Observation", "SignMatrix", "StrategyProfile", "Subgame", "VerificationReport",
-    "full_subgame", "game_rank", "rational_matrix_rank", "rationalizes", "strict_equilibria",
-    "validate_dataset",
+    "full_subgame", "game_rank", "rationalizes", "strict_equilibria", "validate_dataset",
     # oracle
     "SearchConfig", "brute_force_min_rank", "zero_sum_feasible",
     # rationalize
@@ -28,11 +32,49 @@ PUBLIC_NAMES = {
     "StructureReport", "UniquenessCheck", "analyze", "crossing_set", "satisfies_uniqueness",
 }
 
+NAMES_PROBE = """
+import json, sys, types
+import ranklens
+report = {"loaded": sorted(name for name in sys.modules if name.startswith("ranklens."))}
+report["all"] = list(ranklens.__all__)
+report["dir"] = [name for name in dir(ranklens) if not name.startswith("_")]
+ranklens.DataSet
+report["bound"] = [
+    name for name, value in vars(ranklens).items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+]
+print(json.dumps(report))
+"""
+
+SUBMODULE_PROBE = """
+import ranklens
+assert not hasattr(ranklens, "__wrapped__") and not hasattr(ranklens, "oracle")
+from ranklens import oracle
+from ranklens import rationalize
+assert ranklens.oracle is oracle and ranklens.rationalize is rationalize
+assert ranklens.SearchConfig is oracle.SearchConfig
+"""
+
+
+def _probe(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
 
 def test_public_names_are_the_documented_surface():
-    exported = {
-        name for name, value in vars(ranklens).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
-    }
-    assert len(PUBLIC_NAMES) == 64
-    assert exported == PUBLIC_NAMES
+    # import ranklens loads no layer; the first access binds every export.
+    proc = _probe(NAMES_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(PUBLIC_NAMES) == 63
+    assert report["loaded"] == []
+    assert len(report["all"]) == 63 and set(report["all"]) == PUBLIC_NAMES
+    assert set(report["dir"]) == PUBLIC_NAMES
+    assert set(report["bound"]) == PUBLIC_NAMES
+
+
+def test_submodules_are_not_exports():
+    # A submodule or dunder name raises AttributeError on the package, so
+    # from-imports of submodules still import them.
+    proc = _probe(SUBMODULE_PROBE)
+    assert (proc.returncode, proc.stderr) == (0, "")

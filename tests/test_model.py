@@ -25,7 +25,6 @@ from ranklens import (
     full_subgame,
     game_rank,
     game_to_text,
-    rational_matrix_rank,
     rationalize_auto,
     rationalize_general,
     rationalizes,
@@ -36,7 +35,16 @@ from ranklens import (
 )
 from ranklens import model
 
-from .generators import distinct_choices, is_zero_sum, minor_rank, random_fraction_matrix, reference_corpus, sum_matrix
+from .generators import (
+    distinct_choices,
+    filled_slots,
+    is_zero_sum,
+    minor_rank,
+    random_fraction_matrix,
+    rational_matrix_rank,
+    reference_corpus,
+    sum_matrix,
+)
 
 
 class TestValidation:
@@ -259,7 +267,7 @@ class TestRank:
     def test_game_rank_matches_bareiss_reference(self, monkeypatch):
         # game_rank answers from the support of A + B, an exact rank-1 test
         # and a lower bound mod 2**61 - 1. It must agree with
-        # rational_matrix_rank, the plain Bareiss reference, and run Bareiss
+        # rational_matrix_rank, the elimination reference, and run Bareiss
         # only when the bound falls short of the support's smaller side and
         # that side is over 2 (a failed rank-1 test already shows rank 2).
         # A repeated pair of row objects counts once, and the entries are
@@ -376,7 +384,7 @@ class TestRank:
         scaled = len(calls)
         assert scaled and block_difference_certificate(halved, sylvester_hadamard(2))
         assert len(calls) == scaled
-        assert model._integer_rows(halved) is vars(halved)["_integer_rows"]
+        assert model._integer_rows(halved) is halved._integer_rows
 
     def test_a_pickled_game_carries_no_memo_and_still_shares_its_rows(self):
         checked = 0
@@ -385,12 +393,12 @@ class TestRank:
                 game = rationalize_auto(ds).game  # ranked, so the memo is set
             except RanklensError:
                 continue
-            assert "_integer_rows" in vars(game)
+            assert "_integer_rows" in filled_slots(game)
             fresh = BimatrixGame(game.n, game.a, game.b)
             assert game == fresh and hash(game) == hash(fresh) and repr(game) == repr(fresh)
             assert pickle.dumps(game) == pickle.dumps(fresh)
             for copied in (pickle.loads(pickle.dumps(game)), copy.copy(game), copy.deepcopy(game)):
-                assert set(vars(copied)) == {"n", "a", "b"}
+                assert filled_slots(copied) == {"n", "a", "b"}
                 assert copied == game
                 assert len(set(map(id, copied.a + copied.b))) == len(set(map(id, game.a + game.b)))
                 assert game_rank(copied) == game_rank(game)

@@ -402,7 +402,7 @@ class TestProperties:
         import ranklens.structure as structure
 
         made = Counter()
-        init, post_init, checked = structure._Classification.__init__, DataSet.__post_init__, model._checked_dataset
+        init, dataset_init, checked = structure._Classification.__init__, DataSet.__init__, model._checked_dataset
 
         def counted(name, original):
             def call(*args):
@@ -417,7 +417,7 @@ class TestProperties:
                 drawn = random_laminar_unique_dataset(rng, n)
             ds = dataset_from_text(dataset_to_text(drawn))
             monkeypatch.setattr(structure._Classification, "__init__", counted("classification", init))
-            monkeypatch.setattr(DataSet, "__post_init__", counted("dataset", post_init))
+            monkeypatch.setattr(DataSet, "__init__", counted("dataset", dataset_init))
             monkeypatch.setattr(model, "_checked_dataset", counted("dataset", checked))
             cert = rationalize_auto(ds)
             monkeypatch.undo()

@@ -26,6 +26,7 @@ from ranklens import structure
 from ranklens.structure import _classified, _nesting
 
 from .generators import (
+    filled_slots,
     grid_contains,
     naive_crossing_set,
     naive_dedupe_nested,
@@ -278,13 +279,13 @@ class TestClassificationMemo:
             for helper in (crossing_set, satisfies_uniqueness):
                 helper(warmed)
             assert _classified(warmed).outer is not None
-            assert "_classification" in vars(warmed)
+            assert "_classification" in filled_slots(warmed)
             assert warmed == fresh and hash(warmed) == hash(fresh)
             assert repr(warmed) == repr(fresh)
             assert pickle.dumps(warmed) == pickle.dumps(fresh)
             for copied in (pickle.loads(pickle.dumps(warmed)), copy.copy(warmed), copy.deepcopy(warmed)):
                 assert copied == fresh
-                assert set(vars(copied)) == {"n", "observations"}
+                assert filled_slots(copied) == {"n", "observations"}
                 assert analyze(copied) == report  # classified afresh
             assert dataset_to_text(warmed) == text
 
