@@ -17,11 +17,11 @@ import os
 import sys
 
 from .documents import (
+    _game_text,
     canonical_json,
     dataset_from_text,
     dataset_to_document,
     game_from_text,
-    game_to_document,
 )
 from .errors import (
     DataError,
@@ -127,16 +127,13 @@ def cmd_rationalize(args: argparse.Namespace) -> int:
         }
         _emit(args, canonical_json(document))
         return EXIT_NEGATIVE
-    document = game_to_document(certificate.game)
-    document.update(
-        {
-            "method": certificate.method,
-            "rank": certificate.rank,
-            "rank_bound": certificate.rank_bound,
-            "uniqueness_guarantee": certificate.uniqueness_guarantee,
-        }
-    )
-    _emit(args, canonical_json(document))
+    _emit(args, _game_text(
+        certificate.game,
+        method=certificate.method,
+        rank=certificate.rank,
+        rank_bound=certificate.rank_bound,
+        uniqueness_guarantee=certificate.uniqueness_guarantee,
+    ))
     return EXIT_OK
 
 

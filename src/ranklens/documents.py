@@ -160,12 +160,19 @@ def _row_from_document(row: list, memo: dict, row_memo: dict, name: str, r: int)
     return parsed
 
 
+def _entry_texts(game: BimatrixGame) -> tuple[dict, dict]:
+    """The game's distinct row objects, by id, and the text of each
+    distinct value in them, by value; each value is rendered once."""
+    rows = {id(row): row for row in chain(game.a, game.b)}
+    texts = {value: str(value) for value in set(chain.from_iterable(rows.values()))}
+    return rows, texts
+
+
 def game_to_document(game: BimatrixGame) -> dict:
     """Each distinct value is rendered once, and each distinct row object
     is mapped to those texts once; every row of the document is its own
     list."""
-    distinct_rows = {id(row): row for row in game.a + game.b}.values()
-    texts = {value: str(value) for value in set(chain.from_iterable(distinct_rows))}
+    _, texts = _entry_texts(game)
     rows: dict = {}
     row_texts = lambda row: list(map(texts.__getitem__, row))
     return {
@@ -173,6 +180,23 @@ def game_to_document(game: BimatrixGame) -> dict:
         "A": list(map(list.copy, _map_once(row_texts, game.a, rows))),
         "B": list(map(list.copy, _map_once(row_texts, game.b, rows))),
     }
+
+
+def _game_text(game: BimatrixGame, **fields: Any) -> str:
+    """The canonical text of game_to_document(game) with fields added,
+    built per distinct row.
+
+    Each distinct row object's JSON array is built once from its entries'
+    texts, which are digits, signs and slashes and need no escaping. Every
+    key of fields must sort after "B", as a lower-case key does, so that
+    "n" and the fields follow the matrices as canonical_json renders them
+    alone.
+    """
+    distinct_rows, texts = _entry_texts(game)
+    arrays = {key: '["' + '","'.join(map(texts.__getitem__, row)) + '"]' for key, row in distinct_rows.items()}
+    matrix = lambda rows: ",".join(map(arrays.__getitem__, map(id, rows)))
+    tail = canonical_json({"n": game.n, **fields})
+    return "".join(('{"A":[', matrix(game.a), '],"B":[', matrix(game.b), "],", tail[1:]))
 
 
 def game_from_document(document: Any) -> BimatrixGame:
@@ -187,15 +211,15 @@ def game_from_document(document: Any) -> BimatrixGame:
         _expect(isinstance(rows, list) and len(rows) == n, f"field '{name}' must be a list of {n} rows")
         parsed = []
         for r, row in enumerate(rows):
-            _expect(isinstance(row, list) and len(row) == n,
-                    f"field '{name}' row {r} must be a list of {n} entries")
+            if not (isinstance(row, list) and len(row) == n):
+                raise DocumentError(f"field '{name}' row {r} must be a list of {n} entries")
             parsed.append(_row_from_document(row, memo, row_memo, name, r))
         matrices[name] = tuple(parsed)
     return BimatrixGame(n, matrices["A"], matrices["B"])
 
 
 def game_to_text(game: BimatrixGame) -> str:
-    return canonical_json(game_to_document(game))
+    return _game_text(game)
 
 
 def game_from_text(text: str) -> BimatrixGame:

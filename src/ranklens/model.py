@@ -500,11 +500,12 @@ def game_rank(game: BimatrixGame) -> int:
     1. A + B is scaled to integers row by row (``_integer_rows``), and
        each distinct row is kept once: a repeated row of A + B adds
        nothing to the rank.
-    2. Zero rows and zero columns are dropped; an empty support has rank 0.
-       The rank is at most min(#rows, #cols) of the support.
-    3. Rank 1 is decided exactly: every row is proportional to the first,
-       by integer cross-multiplication. Otherwise the rank is at least 2,
-       which is the rank when the support has a side of 2.
+    2. Zero rows are dropped; no row left means rank 0. Rank 1 is decided
+       exactly: every row is proportional to the first, by integer
+       cross-multiplication, where a zero column changes no answer.
+    3. Otherwise the rank is at least 2. Zero columns are dropped too,
+       and the rank is at most min(#rows, #cols) of this support, so it
+       is 2 when the support has a side of 2.
     4. Elimination mod a prime gives a lower bound, since a minor that is
        nonzero mod p is nonzero over the integers. When the bound reaches
        the support's min(#rows, #cols), it is the rank; otherwise Bareiss
@@ -514,13 +515,13 @@ def game_rank(game: BimatrixGame) -> int:
     total = [row for row in distinct.values() if any(row)]
     if not total:
         return 0
-    support = [list(row) for row in zip(*(col for col in zip(*total) if any(col)))]
-    first = support[0]
+    first = total[0]
     pivot_col = next(c for c, x in enumerate(first) if x)
     pivot = first[pivot_col]
-    if all([x * pivot for x in row] == [row[pivot_col] * y for y in first] for row in support):
+    if all([x * pivot for x in row] == [row[pivot_col] * y for y in first] for row in total):
         return 1
-    bound = min(len(support), len(first))
+    support = [list(row) for row in zip(*(col for col in zip(*total) if any(col)))]
+    bound = min(len(support), len(support[0]))
     if bound == 2 or _modular_rank(support, bound) == bound:
         return bound
     return _bareiss_rank(support)

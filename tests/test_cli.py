@@ -12,6 +12,7 @@ from ranklens.cli import main
 DIAG = '{"n":2,"observations":[{"choice":[1,1],"cols":[1,2],"rows":[1,2]},{"choice":[2,2],"cols":[1,2],"rows":[1,2]}]}\n'
 CONTRADICTORY = '{"n":2,"observations":[{"choice":[1,1],"cols":[1,2],"rows":[1,2]},{"choice":[2,1],"cols":[1],"rows":[1,2]}]}\n'
 STRIPS = '{"n":2,"observations":[{"choice":[2,2],"cols":[2],"rows":[1,2]},{"choice":[2,2],"cols":[1,2],"rows":[2]}]}\n'
+NESTED = '{"n":2,"observations":[{"choice":[1,1],"cols":[1,2],"rows":[1,2]},{"choice":[2,2],"cols":[2],"rows":[2]}]}\n'
 # Uniqueness data whose crossing-split graph has a cycle of C copies.
 SPLIT_CYCLE = (
     '{"n":3,"observations":[{"choice":[1,1],"cols":[1,2],"rows":[1,3]},{"choice":[1,2],"cols":[2,3],"rows":[1]},'
@@ -202,6 +203,18 @@ class TestRationalize:
             '"inequalities":["B[1,3] > B[1,1]","B[1,2] > B[1,3]","B[1,1] > B[1,2]"],"player":"column"}}\n'
         )
         assert err == ""
+
+    @pytest.mark.parametrize(
+        "method, dataset", [("rank1", DIAG), ("zerosum", NESTED), ("bounded", STRIPS), ("general", DIAG)],
+    )
+    def test_output_file_holds_the_printed_bytes(self, write, tmp_path, capsys, method, dataset):
+        path = write("ds.json", dataset)
+        assert main(["rationalize", path, "--method", method]) == 0
+        printed = capsys.readouterr().out
+        target = tmp_path / "game.json"
+        assert main(["rationalize", path, "--method", method, "--output", str(target)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert target.read_bytes() == printed.encode()
 
     def test_unknown_method_is_usage_error(self, write, capsys):
         path = write("ds.json", DIAG)
@@ -460,7 +473,6 @@ import argparse, json, re, sys, typing
 
 print(json.dumps(sorted(name for name in ("dataclasses", "inspect", "fractions") if name in sys.modules)))
 """
-NESTED = '{"n":2,"observations":[{"choice":[1,1],"cols":[1,2],"rows":[1,2]},{"choice":[2,2],"cols":[2],"rows":[2]}]}\n'
 RATIONAL_GAME = '{"n":2,"A":[["1/2","4/2"],["-0",1]],"B":[["-1","+3/6"],[2,"-1"]]}\n'
 
 

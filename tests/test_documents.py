@@ -2,6 +2,7 @@ import json
 import pickle
 import sys
 from fractions import Fraction
+from itertools import chain
 from random import Random
 
 import pytest
@@ -12,17 +13,32 @@ from ranklens import (
     BimatrixGame,
     ChoiceOutsideSubgame,
     DocumentError,
+    RanklensError,
     canonical_json,
     dataset_from_text,
     dataset_to_text,
     game_from_document,
     game_from_text,
     game_rank,
+    game_to_document,
     game_to_text,
     parse_json,
+    rationalize_bounded_rank,
+    rationalize_general,
+    rationalize_rank_one,
+    rationalize_zero_sum,
+    sylvester_hadamard,
+    two_regular_dataset,
+    uniqueness_variant,
     validate_dataset,
 )
-from .generators import random_fraction_matrix, random_uniqueness_dataset
+from ranklens.documents import _game_text
+from .generators import (
+    random_fraction_matrix,
+    random_laminar_unique_dataset,
+    random_uniqueness_dataset,
+    reference_corpus,
+)
 
 
 class TestCanonicalJson:
@@ -254,6 +270,58 @@ class TestGameDocuments:
             assert other == fresh and hash(other) == hash(fresh)
             assert game_to_text(other) == game_to_text(fresh)
             assert game_rank(other) == game_rank(fresh)
+
+
+def _route_games():
+    """(game, certificate fields) of every route that answers on the
+    reference corpus, laminar draws at n = 96, 128 and 192, and the
+    Hadamard uniqueness variants at k = 2..4."""
+    rng = Random(41)
+    laminar = (random_laminar_unique_dataset(rng, n) for n in (96, 128, 192) * 2)
+    variants = (uniqueness_variant(two_regular_dataset(sylvester_hadamard(k))) for k in range(2, 5))
+    routes = (rationalize_rank_one, rationalize_zero_sum, rationalize_bounded_rank, rationalize_general)
+    for dataset in chain(reference_corpus(), laminar, variants):
+        for route in routes:
+            try:
+                certificate = route(dataset)
+            except RanklensError:
+                continue
+            yield certificate.game, {
+                "method": certificate.method,
+                "rank": certificate.rank,
+                "rank_bound": certificate.rank_bound,
+                "uniqueness_guarantee": certificate.uniqueness_guarantee,
+            }
+
+
+def _hand_built_games():
+    shared = (Fraction(-3, 4), 2, Fraction(7, 3))
+    integral = object.__new__(BimatrixGame)  # a Fraction(2) the constructor would make an int
+    object.__setattr__(integral, "n", 2)
+    object.__setattr__(integral, "a", ((Fraction(2), Fraction(-1, 2)), (Fraction(2), Fraction(2))))
+    object.__setattr__(integral, "b", ((2, Fraction(2)), (Fraction(-5), 0)))
+    return [
+        BimatrixGame.from_rows([[Fraction(-1, 3), -2], [Fraction(5, 2), 0]], [[-7, Fraction(-9, 4)], [1, 1]]),
+        BimatrixGame(3, (shared, shared, (Fraction(-3, 4), 2, Fraction(7, 3))), (shared, (0, 0, 0), shared)),
+        integral,
+        BimatrixGame.from_rows([[Fraction(-10**30, 7)]], [[10**40]]),
+        BimatrixGame(0, (), ()),
+    ]
+
+
+def test_game_text_is_the_canonical_document():
+    # game_to_text and the CLI's rationalize renderer build the text per
+    # distinct row; it must be the canonical JSON of the game's document.
+    hand_built = [(game, {"method": "general", "rank": 2, "rank_bound": None, "uniqueness_guarantee": False})
+                  for game in _hand_built_games()]
+    methods = set()
+    for game, fields in chain(_route_games(), hand_built):
+        document = game_to_document(game)
+        assert game_to_text(game) == canonical_json(document)
+        assert _game_text(game, **fields) == canonical_json(document | fields)
+        methods.add(fields["method"])
+    assert methods == {"rank_one", "zero_sum", "bounded_rank", "general"}
+    assert game_to_text(hand_built[-1][0]) == '{"A":[],"B":[],"n":0}\n'
 
 
 class TestParseJson:
