@@ -20,7 +20,7 @@ from .documents import (
     _game_text,
     canonical_json,
     dataset_from_text,
-    dataset_to_document,
+    dataset_to_text,
     game_from_text,
 )
 from .errors import (
@@ -81,8 +81,7 @@ def _witness_document(witness) -> dict | None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    dataset = dataset_from_text(_read_file(args.dataset))
-    _emit(args, canonical_json(dataset_to_document(dataset)))
+    _emit(args, dataset_to_text(dataset_from_text(_read_file(args.dataset))))
     return EXIT_OK
 
 
@@ -169,13 +168,10 @@ def _size_cap() -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from .hadamard import sylvester_hadamard, two_regular_dataset, uniqueness_variant
+    from .hadamard import _sign_dataset, sylvester_hadamard
 
     sign = sylvester_hadamard(args.k, size_cap=_size_cap())
-    dataset = two_regular_dataset(sign)
-    if args.variant == "unique":
-        dataset = uniqueness_variant(dataset)
-    _emit(args, canonical_json(dataset_to_document(dataset)))
+    _emit(args, dataset_to_text(_sign_dataset(sign, unique=args.variant == "unique")))
     return EXIT_OK
 
 

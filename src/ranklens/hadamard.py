@@ -62,14 +62,11 @@ def _block(i: int, j: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (2 * i - 1, 2 * i), (2 * j - 1, 2 * j)
 
 
-def two_regular_dataset(sign: SignMatrix) -> DataSet:
-    """2-regular dataset induced by a zero-free sign matrix.
-
-    Every 2x2 block appears as a subgame with two observations: the
-    diagonal pair of the block for +1, the off-diagonal pair for -1.
-    The result is laminar (blocks are disjoint) and violates uniqueness
-    (two choices per block).
-    """
+def _sign_dataset(sign: SignMatrix, unique: bool) -> DataSet:
+    """The dataset a zero-free sign matrix induces, in one pass over its
+    blocks. Each block's first choice keeps the whole block; its second
+    keeps it too, or with ``unique`` sits on the two-row strip of its own
+    column and on the block's second row."""
     m = sign.order
     triples = []
     for i, j in product(range(1, m + 1), repeat=2):
@@ -78,12 +75,26 @@ def two_regular_dataset(sign: SignMatrix) -> DataSet:
             raise ZeroSignEntry(f"sign entry ({i},{j}) is zero")
         rows, cols = _block(i, j)
         if entry > 0:
-            picks = ((rows[0], cols[0]), (rows[1], cols[1]))
+            first, second = (rows[0], cols[0]), (rows[1], cols[1])
         else:
-            picks = ((rows[0], cols[1]), (rows[1], cols[0]))
-        for pick in picks:
-            triples.append((pick, rows, cols))
+            first, second = (rows[0], cols[1]), (rows[1], cols[0])
+        triples.append((first, rows, cols))
+        if unique:
+            triples += ((second, rows, (second[1],)), (second, (rows[1],), cols))
+        else:
+            triples.append((second, rows, cols))
     return validate_dataset(triples, 2 * m)
+
+
+def two_regular_dataset(sign: SignMatrix) -> DataSet:
+    """2-regular dataset induced by a zero-free sign matrix.
+
+    Every 2x2 block appears as a subgame with two observations: the
+    diagonal pair of the block for +1, the off-diagonal pair for -1.
+    The result is laminar (blocks are disjoint) and violates uniqueness
+    (two choices per block).
+    """
+    return _sign_dataset(sign, unique=False)
 
 
 def two_regular_sign_pattern(dataset: DataSet) -> SignMatrix:
@@ -124,23 +135,7 @@ def uniqueness_variant(dataset: DataSet) -> DataSet:
     inequalities per block are unchanged, uniqueness holds, and the
     crossing span is n/2 (the strip choices occupy exactly the even rows).
     """
-    sign = two_regular_sign_pattern(dataset)
-    m = sign.order
-    triples = []
-    for i, j in product(range(1, m + 1), repeat=2):
-        rows, cols = _block(i, j)
-        if sign.entries[i - 1][j - 1] > 0:
-            keep = (rows[0], cols[0])
-            moved = (rows[1], cols[1])
-            strip_col = cols[1]
-        else:
-            keep = (rows[0], cols[1])
-            moved = (rows[1], cols[0])
-            strip_col = cols[0]
-        triples.append((keep, rows, cols))
-        triples.append((moved, rows, (strip_col,)))
-        triples.append((moved, (rows[1],), cols))
-    return validate_dataset(triples, 2 * m)
+    return _sign_dataset(two_regular_sign_pattern(dataset), unique=True)
 
 
 def block_difference_certificate(game: BimatrixGame, sign: SignMatrix) -> bool:

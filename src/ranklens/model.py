@@ -27,10 +27,11 @@ if TYPE_CHECKING:
 
 RationalLike = Union[int, str, "Fraction"]
 
-# The largest order whose generate -> analyze -> rationalize -> verify CLI
-# pipeline on the uniqueness variant ends within 25 s: order 128 (n = 256)
-# takes about 5 s on a 2-core x86-64 host under Python 3.11, and order 256
-# spends over 36 s in generate and analyze alone. It bounds the Hadamard
+# Order 128 (n = 256). On a 2-core x86-64 host under Python 3.11 with the
+# default collector thresholds, the uniqueness variant's generate ->
+# validate -> analyze -> rationalize -> verify CLI pipeline takes 3.9-4.3 s
+# at order 128 and 21 s at order 256 (8.3-8.6 s in generate and analyze),
+# too near a 25 s budget for the host's speed drift. It bounds the Hadamard
 # generators, and twice it bounds the order of a game the CLI synthesizes.
 DEFAULT_ORDER_CAP = 2 ** 7
 
@@ -367,13 +368,14 @@ class SignMatrix(_Frozen):
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[int]]) -> None:
-        entries = tuple(tuple(int(x) for x in row) for row in entries)
-        m = len(entries)
-        if any(len(row) != m for row in entries):
+        rows = tuple(map(tuple, entries))
+        m = len(rows)
+        if any(len(row) != m for row in rows):
             raise SizeMismatch("sign matrix must be square")
-        if any(x not in (-1, 0, 1) for row in entries for x in row):
+        # Checked before int(): int(0.5) == 0 and int("1") == 1 would pass.
+        if any(x not in (-1, 0, 1) for row in rows for x in row):
             raise ValueError("sign matrix entries must be -1, 0, or +1")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(tuple(int(x) for x in row) for row in rows))
 
     @property
     def order(self) -> int:

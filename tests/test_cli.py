@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -291,6 +292,22 @@ class TestVerify:
         assert json.loads(capsys.readouterr().err)["error"] == "SizeMismatch"
 
 
+# sha256 prefixes of `generate hadamard --k K --variant V` stdout for K = 0..6.
+GENERATE_DIGESTS = {
+    "laminar": ("2d28092c1787210b", "f8c83a2c0bb0f8c7", "4f5fafc88cc1f7a7", "e832e7dd2498549e",
+                "942a33280e19499d", "6ad12227c1429204", "06d3f619091277cc"),
+    "unique": ("df06f83463dcb356", "99204ba7593dc552", "d973313128dff377", "397f0cc58bff5d5d",
+               "d28ac80ea0955d2e", "249224ef6de0bfcd", "c127fe00b9cde2ef"),
+}
+
+
+def _generate_digest(capsys, k: int, variant: str) -> str:
+    assert main(["generate", "hadamard", "--k", str(k), "--variant", variant]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return hashlib.sha256(captured.out.encode()).hexdigest()[:16]
+
+
 class TestGenerate:
     def test_order_two(self, write, capsys):
         assert main(["generate", "hadamard", "--k", "0"]) == 0
@@ -307,6 +324,18 @@ class TestGenerate:
         document = json.loads(capsys.readouterr().out)
         assert document["n"] == 4
         assert len(document["observations"]) == 12
+
+    @pytest.mark.parametrize("variant", sorted(GENERATE_DIGESTS))
+    def test_pinned_bytes(self, capsys, variant):
+        digests = tuple(_generate_digest(capsys, k, variant) for k in range(7))
+        assert digests == GENERATE_DIGESTS[variant]
+
+    def test_unique_variant_comes_straight_from_the_sign_matrix(self, capsys, monkeypatch):
+        def no_round_trip(dataset):
+            raise AssertionError("generate recovered the sign matrix from a dataset")
+
+        monkeypatch.setattr("ranklens.hadamard.two_regular_sign_pattern", no_round_trip)
+        assert _generate_digest(capsys, 3, "unique") == GENERATE_DIGESTS["unique"][3]
 
     def test_size_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RANKLENS_SIZE_CAP", "4")

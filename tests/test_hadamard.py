@@ -41,6 +41,22 @@ def random_sign(rng, m):
     return SignMatrix(tuple(tuple(rng.choice((1, -1)) for _ in range(m)) for _ in range(m)))
 
 
+class TestSignMatrix:
+    @pytest.mark.parametrize("entry", [1, True, 1.0])
+    def test_entries_equal_to_one_store_as_int_one(self, entry):
+        sign = SignMatrix(((entry,),))
+        assert sign.entries == ((1,),) and type(sign.entries[0][0]) is int
+
+    @pytest.mark.parametrize("entry", [0.5, -1.7, 2, "1"])
+    def test_entries_are_checked_before_truncation(self, entry):
+        with pytest.raises(ValueError, match=r"^sign matrix entries must be -1, 0, or \+1$"):
+            SignMatrix(((entry,),))
+
+    def test_ragged_matrix(self):
+        with pytest.raises(SizeMismatch):
+            SignMatrix(((1, -1), (1,)))
+
+
 class TestSylvester:
     def test_small_orders(self):
         assert sylvester_hadamard(0).entries == ((1,),)
