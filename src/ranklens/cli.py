@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .documents import (
     _game_text,
@@ -196,6 +197,8 @@ class _Parser(argparse.ArgumentParser):
         raise PreconditionError(f"{self.prog}: {message}")
 
 
+# Parsing leaves the parser as it was, so a process builds it once.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ranklens",
