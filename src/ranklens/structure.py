@@ -8,67 +8,36 @@ from admitting a zero-sum rationalization.
 
 Classification works on set grids: every subgame's rows and columns
 become two frozensets, shared by the subgames with the same axis, so
-intersection and containment are set tests. One index of the subgames,
-by row set and then column, answers two queries: which grids meet a
-grid, and which grids contain it. `crossing_set` reads the first;
+intersection and containment are set tests. Every grid that crosses a
+grid, and every grid that contains it, meets it. So one pass indexes the
+grids by row set and then column, walks the grids that meet each grid
+once, and records both whether one of them crosses it and which of them
+strictly contain it. `crossing_set` reads the crossing flags;
 `satisfies_uniqueness` and the zero-sum route's nesting pass read the
-second, so a subgame or an observation is tested only against the grids
-that meet or contain its own, never against every pair. The grids, the
-index, the containers and the report are computed once per dataset and
-kept on it beside its fields (see ``_Classification``), so every helper
-and route reuses one classification. The same memo keeps the row and
-column classes (``_classes``): rows that every observation treats alike,
-over which the zero-sum route builds and prices its graph.
+containers. No grid is tested against one it does not meet. The grids,
+that pass and the report are computed once per dataset and kept on it
+beside its fields (see ``_Classification``), so every helper and route
+reuses one classification. The same memo keeps the row and column
+classes (``_classes``): rows that every observation treats alike, over
+which the zero-sum route builds and prices its graph.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 from .model import DataSet, Observation, StrategyProfile, Subgame
 
 
-class _GridIndex:
-    """The subgames' grids, indexed by row set, then column.
-
-    Row sets are numbered in sorted order. ``rows_through[row]`` lists the
-    numbers of the row sets that hold the row, and ``by_rows[number][col]``
-    lists the positions of the subgames with that row set whose columns
-    hold col.
-    """
-
-    def __init__(self, subgames: tuple[Subgame, ...]) -> None:
-        self.rows_through: dict[int, list[int]] = defaultdict(list)
-        self.by_rows: list[dict[int, list[int]]] = []
-        for position, subgame in enumerate(subgames):
-            # Sorted subgames hold each row set in one run.
-            if not position or subgame.rows != subgames[position - 1].rows:
-                for row in subgame.rows:
-                    self.rows_through[row].append(len(self.by_rows))
-                self.by_rows.append(defaultdict(list))
-            by_col = self.by_rows[-1]
-            for col in subgame.cols:
-                by_col[col].append(position)
-
-    def meeting(self, subgame: Subgame) -> set[int]:
-        """Positions of the subgames whose grids meet this one's, itself
-        included."""
-        positions: set[int] = set()
-        for number in {number for row in subgame.rows for number in self.rows_through[row]}:
-            by_col = self.by_rows[number]
-            for col in by_col.keys() & subgame.cols:
-                positions.update(by_col[col])
-        return positions
-
-
 class _Classification:
     """What classifying a DataSet computes once: the sorted subgames, their
     grids as pairs of frozensets, the grid of each observation (as a
-    subgame position), and, once asked, the grid index and each grid's
-    strict containers. ``analyze`` stores the structure report on it, and
-    ``_classes`` the row and column classes.
+    subgame position), and, once asked, each grid's crossing flag and
+    strict containers (``relations``). ``analyze`` stores the structure
+    report on it, and ``_classes`` the row and column classes.
 
     One instance is kept on the dataset, beside its fields (see
     ``_classified``). It holds no reference to the dataset, so the two
@@ -89,24 +58,46 @@ class _Classification:
         self.positions = [position[obs.subgame] for obs in dataset.observations]
 
     @cached_property
-    def index(self) -> _GridIndex:
-        return _GridIndex(self.subgames)
+    def relations(self) -> tuple[list[bool], list[list[int]]]:
+        """Whether each grid crosses another, and the positions of its
+        strict containers, from one walk over the grids that meet it.
 
-    @cached_property
-    def outer(self) -> list[list[int]]:
-        """Positions of each grid's strict containers. A container holds
-        the grid's first row and first column, so the index lists it."""
-        index, grids = self.index, self.grids
-        outer = []
-        for position, subgame in enumerate(self.subgames):
-            rows_s, cols_s = grids[position]
-            outer.append([
-                other
-                for number in index.rows_through[subgame.rows[0]]
-                for other in index.by_rows[number].get(subgame.cols[0], ())
-                if other != position and rows_s <= grids[other][0] and cols_s <= grids[other][1]
-            ])
-        return outer
+        The grids are indexed by row set, then column. Row sets are
+        numbered in sorted order; ``through[row]`` lists the numbers of the
+        row sets that hold the row, and ``by_rows[number][col]`` the
+        positions of the grids with that row set whose columns hold col.
+        ``meets`` holds the column indexes of the row sets that meet the
+        current grid's.
+        """
+        grids = self.grids
+        # Sorted subgames hold each row set in one run, and the grids of a
+        # row set share its frozenset.
+        starts = [not p or rows is not grids[p - 1][0] for p, (rows, _) in enumerate(grids)]
+        through: dict[int, list[int]] = defaultdict(list)
+        by_rows: list[dict[int, list[int]]] = []
+        for position, (rows, cols) in enumerate(grids):
+            if starts[position]:
+                for row in rows:
+                    through[row].append(len(by_rows))
+                by_rows.append(defaultdict(list))
+            for col in cols:
+                by_rows[-1][col].append(position)
+        crossing, containers = [], []
+        for position, (rows_s, cols_s) in enumerate(grids):
+            if starts[position]:
+                meets = [by_rows[number] for number in {number for row in rows_s for number in through[row]}]
+            meeting = {other for by_col in meets for col in cols_s for other in by_col.get(col, ())}
+            meeting.discard(position)
+            outer, crosses = [], False
+            for other in meeting:
+                rows_t, cols_t = grids[other]
+                if rows_s <= rows_t and cols_s <= cols_t:
+                    outer.append(other)
+                elif not crosses and not (rows_t <= rows_s and cols_t <= cols_s):
+                    crosses = True
+            crossing.append(crosses)
+            containers.append(outer)
+        return crossing, containers
 
 
 def _classified(dataset: DataSet) -> _Classification:
@@ -119,24 +110,9 @@ def _classified(dataset: DataSet) -> _Classification:
 
 
 def crossing_set(dataset: DataSet) -> tuple[Subgame, ...]:
-    """Subgames of the dataset that cross at least one other subgame.
-
-    Grids that cross meet, so each subgame is tested only against the
-    grids the index finds meeting it; a crossing marks both subgames.
-    """
+    """Subgames of the dataset that cross at least one other subgame."""
     memo = _classified(dataset)
-    subgames, grids, index = memo.subgames, memo.grids, memo.index
-    crossing = [False] * len(subgames)
-    for position, subgame in enumerate(subgames):
-        if crossing[position]:
-            continue
-        rows_s, cols_s = grids[position]
-        for other in index.meeting(subgame):
-            rows_t, cols_t = grids[other]
-            if not (rows_s <= rows_t and cols_s <= cols_t) and not (rows_t <= rows_s and cols_t <= cols_s):
-                crossing[position] = crossing[other] = True
-                break
-    return tuple(s for s, crosses in zip(subgames, crossing) if crosses)
+    return tuple(compress(memo.subgames, memo.relations[0]))
 
 
 class StructureReport(NamedTuple):
@@ -180,7 +156,7 @@ def satisfies_uniqueness(dataset: DataSet) -> UniquenessCheck:
     first: tuple[int, int] | None = None
     for inner_position, (inner, grid) in enumerate(zip(observations, memo.positions)):
         rows_i, cols_i = memo.grids[grid]
-        for container in memo.outer[grid]:
+        for container in memo.relations[1][grid]:
             outer_position = owner[container]
             row, col = choice = observations[outer_position].choice
             if choice != inner.choice and row in rows_i and col in cols_i:
@@ -269,7 +245,7 @@ def _nesting(dataset: DataSet) -> list[tuple[Observation, list[Subgame]]]:
     choices are pairwise distinct.
     """
     memo = _classified(dataset)
-    subgames, outer = memo.subgames, memo.outer
+    subgames, outer = memo.subgames, memo.relations[1]
     owner = dict(zip(memo.positions, dataset.observations))
     children: dict[int, list[Subgame]] = {
         grid: [] for grid in range(len(subgames))

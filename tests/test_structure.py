@@ -278,7 +278,7 @@ class TestClassificationMemo:
             assert analyze(warmed) is report
             for helper in (crossing_set, satisfies_uniqueness):
                 helper(warmed)
-            assert _classified(warmed).outer is not None
+            assert _classified(warmed).relations is not None
             assert "_classification" in filled_slots(warmed)
             assert warmed == fresh and hash(warmed) == hash(fresh)
             assert repr(warmed) == repr(fresh)
@@ -293,7 +293,7 @@ class TestClassificationMemo:
         # The memo holds no reference to its dataset: no reference cycle.
         ds = uniqueness_variant(two_regular_dataset(sylvester_hadamard(2)))
         analyze(ds)
-        assert _classified(ds).outer is not None
+        assert _classified(ds).relations is not None
         freed = weakref.ref(ds)
         gc.disable()
         try:
