@@ -40,9 +40,10 @@ class SearchConfig(_SearchConfigFields):
     exact, and a positive minimum rank raises BudgetExceeded instead. A box
     of more than BOX_ROW_BUDGET matrices raises BudgetExceeded before
     anything is enumerated.
-    zero_sum_shortcut answers rank-0 queries through the revealed-preference
-    graph's acyclicity test before enumerating; disable it to keep the
-    enumeration fully independent of the graph machinery.
+    zero_sum_shortcut answers rank-0 queries from the revealed-preference
+    graph before enumerating, when its level sweep shows a zero-sum game in
+    the box; disable it to keep the enumeration fully independent of the
+    graph machinery.
     """
 
     __slots__ = ()
@@ -62,6 +63,13 @@ def _number(value: int) -> str:
         return f"at least 2^{value.bit_length() - 1}"
 
 
+def _plain_sweep(dataset: DataSet) -> tuple[dict[int, int], tuple[int, ...] | None]:
+    """The sink-first levels of the plain revealed-preference graph, and its
+    witness cycle (see graphs._sweep)."""
+    rows, cols = _edge_ids(dataset.n, dataset.observations)
+    return _sweep(rows | cols)
+
+
 def zero_sum_feasible(dataset: DataSet) -> bool:
     """Whether a zero-sum game rationalizes the dataset.
 
@@ -69,8 +77,7 @@ def zero_sum_feasible(dataset: DataSet) -> bool:
     edge of the plain revealed-preference graph becomes an A-ordering;
     feasibility is that graph's acyclicity.
     """
-    rows, cols = _edge_ids(dataset.n, dataset.observations)
-    return _sweep(rows | cols)[1] is None
+    return _plain_sweep(dataset)[1] is None
 
 
 def _feasible_lines(n: int, max_abs: int, orders: list[frozenset[tuple[int, int]]]) -> list[frozenset]:
@@ -109,8 +116,13 @@ def brute_force_min_rank(dataset: DataSet, config: SearchConfig = SearchConfig()
     if n > config.max_n:
         space = f"{_number(2 * radius + 1)}^{2 * n * n}"
         raise BudgetExceeded(f"n={n} exceeds max_n={config.max_n} (search space {space})")
-    if config.zero_sum_shortcut and zero_sum_feasible(dataset):
-        return 0
+    if config.zero_sum_shortcut:
+        # A zero-sum game in the box prices a path of L vertices with L
+        # distinct values of [-M, M]; pricing an acyclic graph by its
+        # sink-first levels 1..L, shifted by -M-1, needs no more.
+        levels, cycle = _plain_sweep(dataset)
+        if cycle is None and max(levels.values(), default=1) <= 2 * radius + 1:
+            return 0
 
     rows = (2 * radius + 1) ** (n * n)
     if rows > BOX_ROW_BUDGET:

@@ -56,6 +56,15 @@ class TestValidate:
         assert main(["validate", str(tmp_path / "absent.json")]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_observation_after_a_good_one(self, write, capsys):
+        path = write("ds.json", '{"n":2,"observations":[{"choice":[1,1],"cols":[1],"rows":[1]},{"choice":[1],"cols":[1],"rows":[1]}]}')
+        assert main(["validate", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            '{"error": "DocumentError", "message": "observation 1 field \'choice\' must have exactly two entries"}\n'
+        )
+
     def test_semantic_error(self, write, capsys):
         path = write("ds.json", '{"n":1,"observations":[{"choice":[1,2],"rows":[1],"cols":[1]}]}')
         assert main(["validate", path]) == 3
@@ -239,6 +248,13 @@ class TestRationalize:
 
 
 class TestVerify:
+    def test_game_row_of_the_wrong_length(self, write, capsys):
+        game = write("game.json", '{"A":[[1,2],[3]],"B":[[0,0],[0,0]],"n":2}')
+        assert main(["verify", game, write("ds.json", DIAG)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == '{"error": "DocumentError", "message": "field \'A\' row 1 must be a list of 2 entries"}\n'
+
     def test_accepts(self, write, capsys, known_rank_one_game):
         game = write("game.json", game_to_text(known_rank_one_game))
         data = write("ds.json", DIAG)
@@ -381,6 +397,15 @@ class TestMinrank:
         path = write("ds.json", DIAG)
         assert main(["minrank", path, "--max-abs", "1"]) == 0
         assert capsys.readouterr().out == "1\n"
+
+    def test_zero_sum_answer_fits_the_box(self, write, capsys):
+        # A zero-sum game needs three distinct payoffs here, which radius 0 lacks.
+        path = write("ds.json", '{"n":2,"observations":[{"choice":[1,1],"cols":[1,2],"rows":[1,2]}]}')
+        assert main(["minrank", path, "--max-abs", "0"]) == 1
+        assert capsys.readouterr().out == "none\n"
+        for radius in ("1", "2"):
+            assert main(["minrank", path, "--max-abs", radius]) == 0
+            assert capsys.readouterr().out == "0\n"
 
     def test_negative_radius(self, write, capsys):
         path = write("ds.json", DIAG)

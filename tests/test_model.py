@@ -169,6 +169,15 @@ class TestRationalizes:
         with pytest.raises(SizeMismatch):
             rationalizes(known_rank_one_game, validate_dataset([((1, 1), (1,), (1,))], 3))
 
+    def test_game_of_the_wrong_shape(self):
+        for a, b, name in [
+            (((1, 2), (3,)), ((0, 0), (0, 0)), "A"),
+            (((1, 2), (3, 4)), ((0, 0),), "B"),
+        ]:
+            with pytest.raises(SizeMismatch) as raised:
+                BimatrixGame(2, a, b)
+            assert str(raised.value) == f"{name} must be 2x2"
+
 
 class TestRank:
     def test_rank_one_sum(self, known_rank_one_game):

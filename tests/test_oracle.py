@@ -49,6 +49,15 @@ class TestBruteForce:
         assert rationalizes(exhibit, ds).ok
         assert game_rank(exhibit) == 0
 
+    def test_zero_sum_shortcut_stays_in_the_box(self):
+        # The zero-sum game needs A[1,2] > A[1,1] > A[2,1]: three values,
+        # so radius 1 holds one and radius 0 none.
+        ds = validate_dataset([((1, 1), (1, 2), (1, 2))], 2)
+        for radius, answer in ((0, None), (1, 0), (2, 0)):
+            for shortcut in (True, False):
+                config = SearchConfig(max_abs_payoff=radius, zero_sum_shortcut=shortcut)
+                assert brute_force_min_rank(ds, config) == answer, (radius, shortcut)
+
     def test_crossing_strips(self, crossing_strips_dataset):
         assert brute_force_min_rank(crossing_strips_dataset) == 0
         assert brute_force_min_rank(crossing_strips_dataset, NO_SHORTCUT) == 0
@@ -189,6 +198,12 @@ class TestFactorization:
 class TestRecordedAnswers:
     """The factorized search gives the answers the full-box enumeration
     gave on the 697-dataset sweep (tests/oracle_sweep.txt)."""
+
+    def test_shortcut_agrees_with_the_search(self):
+        for radius in (0, 1, 2, 3, 6):
+            on, off = SearchConfig(max_abs_payoff=radius), SearchConfig(max_abs_payoff=radius, zero_sum_shortcut=False)
+            for ds in two_by_two_sweep():
+                assert brute_force_min_rank(ds, on) == brute_force_min_rank(ds, off), (radius, ds)
 
     def test_sweep(self):
         sweep = two_by_two_sweep()

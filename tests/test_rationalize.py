@@ -37,6 +37,7 @@ from ranklens import (
     uniqueness_variant,
     validate_dataset,
 )
+from ranklens import rationalize
 from ranklens.graphs import _edge_ids
 from ranklens.structure import _classes
 from .generators import (
@@ -270,6 +271,40 @@ class TestDecision:
                 ds.n,
             )
             assert is_rationalizable(smaller)
+
+
+class TestSoundnessGate:
+    """Every route's game passes _certify before it leaves; a pricing that
+    went wrong is an internal error, not a certificate."""
+
+    @pytest.mark.parametrize(
+        "route, fixture, message",
+        [
+            (rationalize_zero_sum, "nested_dataset", "zero_sum produced a non-rationalizing game: A[1,1]=0 <= A[2,1]=0"),
+            (rationalize_bounded_rank, "crossing_strips_dataset",
+             "bounded_rank produced a non-rationalizing game: A[2,2]=0 <= A[1,2]=0"),
+            (rationalize_general, "nested_dataset", "general produced a non-rationalizing game: A[1,1]=0 <= A[2,1]=0"),
+        ],
+        ids=["zero_sum", "bounded_rank", "general"],
+    )
+    def test_a_non_rationalizing_game_is_refused(self, route, fixture, message, request, monkeypatch):
+        monkeypatch.setattr(rationalize, "_payoffs", lambda *args: BimatrixGame.from_rows([[0, 0], [0, 0]], [[0, 0], [0, 0]]))
+        with pytest.raises(AssertionError) as raised:
+            route(request.getfixturevalue(fixture))
+        assert str(raised.value) == f"internal error: {message}"
+
+    def test_a_rank_over_the_bound_is_refused(self, nested_dataset, monkeypatch):
+        # B + 1 keeps every B inequality and makes A + B all ones: rank 1.
+        payoffs = rationalize._payoffs
+
+        def shifted(*args):
+            game = payoffs(*args)
+            return BimatrixGame(game.n, game.a, tuple(tuple(x + 1 for x in row) for row in game.b))
+
+        monkeypatch.setattr(rationalize, "_payoffs", shifted)
+        with pytest.raises(AssertionError) as raised:
+            rationalize_zero_sum(nested_dataset)
+        assert str(raised.value) == "internal error: zero_sum exceeded its rank bound 0 (rank 1)"
 
 
 class TestAuto:
