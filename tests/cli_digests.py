@@ -4,7 +4,8 @@ The inputs are the datasets of ``reference_corpus()`` and the outputs of
 ``generate hadamard --k 2..4`` in both variants. Each input gets these
 runs of ``cli.main``, in process:
 
-- ``validate`` and ``analyze`` of the dataset;
+- ``validate``, ``analyze`` and ``minrank`` (default ``--max-abs 3``) of
+  the dataset;
 - ``rationalize`` with each ``--method`` value;
 - ``verify`` of each distinct game that ``rationalize`` printed, against
   the dataset (a byte-identical game verifies identically, so it is
@@ -40,7 +41,7 @@ from ranklens.cli import main
 from .generators import reference_corpus
 
 DIGESTS = Path(__file__).with_name("cli_digests.txt")
-COMMANDS = ("validate", "analyze", "rationalize", "verify", "generate")
+COMMANDS = ("validate", "analyze", "minrank", "rationalize", "verify", "generate")
 METHODS = ("auto", "bounded", "general", "rank1", "zerosum")
 GENERATED = [(k, variant) for k in (2, 3, 4) for variant in ("laminar", "unique")]
 HEX_DIGITS = 10
@@ -74,6 +75,7 @@ class _Runner:
         self.write("DATASET", dataset_text)
         self.run("validate", "DATASET")
         self.run("analyze", "DATASET")
+        self.run("minrank", "DATASET")
         games = {}
         for method in METHODS:
             stdout, code = self.run("rationalize", "DATASET", "--method", method)
