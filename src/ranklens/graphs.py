@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import Collection, Iterable, Sequence
 
-from .model import BimatrixGame, DataSet, Observation
-from .structure import _nesting
+from .model import BimatrixGame, Observation
 
 # Vertex id ((row-1)*n + (col-1))*3 + t, with t = 0 for an intact vertex,
 # 1 for an R copy and 2 for a C copy. Integer order is the canonical vertex
@@ -72,13 +71,15 @@ def _edge_ids(n: int, observations: Iterable[Observation], split: Collection[int
     return rows, cols
 
 
-def _strong_edge_ids(dataset: DataSet, rows: Sequence[int], cols: Sequence[int]) -> list[tuple[int, int]]:
+def _strong_edge_ids(forest: Iterable, rows: Sequence[int], cols: Sequence[int]) -> list[tuple[int, int]]:
     """Id pairs of the strongly implementing graph of a laminar dataset
     with unique choices, over row and column classes.
 
-    The caller guarantees both (``rationalize_zero_sum`` checks them).
-    Per observation ((i,j), X, Y) that the containment forest keeps, with
-    its children there (see ``structure._nesting``): besides the implement
+    ``forest`` is the dataset's containment forest, as
+    ``structure._nesting`` gives it: each kept observation with the
+    subgames of its children. The caller guarantees laminarity and
+    uniqueness (``rationalize_zero_sum`` checks both). Per observation
+    ((i,j), X, Y) of the forest, with its children: besides the implement
     edges, every vertex of a child containing row i gets a column edge
     toward column j, and every other off-choice vertex gets a row edge from
     row i. The result is acyclic and pins the observed choice as the unique
@@ -95,7 +96,7 @@ def _strong_edge_ids(dataset: DataSet, rows: Sequence[int], cols: Sequence[int])
     """
     width = max(cols) + 1
     pairs: list[tuple[int, int]] = []
-    for ((i, j), (subgame_rows, subgame_cols)), children in _nesting(dataset):
+    for ((i, j), (subgame_rows, subgame_cols)), children in forest:
         # Cells and row classes of the children that hold row i; sibling
         # grids are disjoint.
         row_side: set[int] = set()

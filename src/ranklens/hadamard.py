@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from itertools import product
+from operator import add
 
 from .errors import (
     InvalidSize,
@@ -35,7 +36,6 @@ from .model import (
     SignMatrix,
     StrategyProfile,
     Subgame,
-    _integer_rows,
     _sign,
     validate_dataset,
 )
@@ -144,19 +144,15 @@ def block_difference_certificate(game: BimatrixGame, sign: SignMatrix) -> bool:
     Each 2x2 block of C = A + B collapses to its alternating sum
     C[2i-1,2j-1] - C[2i-1,2j] - C[2i,2j-1] + C[2i,2j]; for a rationalizing
     game of a 2-regular dataset the result's sign pattern is the block
-    pattern itself.
-
-    The sums are taken on the integer rows of A + B that ``game_rank``
-    reads (``_integer_rows``): with u = s * C[2i-1] and l = t * C[2i], the
-    block's sum times s * t > 0 is t * (u[c] - u[c+1]) - s * (l[c] - l[c+1])
-    for c = 2j-1, which has the same sign.
+    pattern itself. The sums are taken on the entries of A and B as they
+    are, which is exact for ints and Fractions alike.
     """
     if game.n != 2 * sign.order:
         raise SizeMismatch(f"game is {game.n}x{game.n}, sign matrix of order {sign.order} needs n={2 * sign.order}")
-    rows = _integer_rows(game)
+    rows = [list(map(add, row_a, row_b)) for row_a, row_b in zip(game.a, game.b)]
     pattern = [
-        tuple(_sign(t * (u[c] - u[c + 1]) - s * (l[c] - l[c + 1])) for c in range(0, game.n, 2))
-        for (s, u), (t, l) in zip(rows[0::2], rows[1::2])
+        tuple(_sign(u[c] - u[c + 1] - l[c] + l[c + 1]) for c in range(0, game.n, 2))
+        for u, l in zip(rows[0::2], rows[1::2])
     ]
     return tuple(pattern) == sign.entries
 

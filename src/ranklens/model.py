@@ -73,15 +73,11 @@ def _rational_rows(matrix) -> tuple[tuple[int | Fraction, ...], ...]:
 def _map_once(fn, items, memo: dict) -> list:
     """fn of every item of a sequence, as a list, with fn called once per
     distinct item object: memo maps id() to the result. The caller keeps
-    the items alive while memo is in use, so no id is reused. Items that
-    memo already knows are mapped without a Python-level loop.
+    the items alive while memo is in use, so no id is reused.
     """
     ids = list(map(id, items))
-    try:
-        return list(map(memo.__getitem__, ids))
-    except KeyError:
-        memo.update({key: fn(x) for key, x in dict(zip(ids, items)).items() if key not in memo})
-        return list(map(memo.__getitem__, ids))
+    memo.update({key: fn(x) for key, x in dict(zip(ids, items)).items() if key not in memo})
+    return list(map(memo.__getitem__, ids))
 
 
 def _sign(value) -> int:
@@ -92,7 +88,7 @@ class _Frozen:
     """Base of the immutable value types DataSet, BimatrixGame and SignMatrix.
 
     A subclass names its fields in ``_fields`` and lists them in
-    ``__slots__`` with its private memos; its constructor sets the fields
+    ``__slots__`` with any private memos; its constructor sets the fields
     through ``object.__setattr__``, and only a memo is set later. Equality
     (with the same class only), hashing and repr read the fields alone, and
     pickling and copying re-run the constructor on them, so no memo leaves
@@ -325,12 +321,10 @@ class BimatrixGame(_Frozen):
     """An n x n two-player game with exact payoffs (A, B): ints where integral, else Fractions.
 
     The constructor sets the fields and calls ``__post_init__``, which
-    normalizes and checks them. The integer rows of A + B
-    (``_integer_rows``) are computed once and kept in a private slot beside
-    the fields; equality, hashing, repr and pickling see only the fields.
+    normalizes and checks them. The game keeps nothing beside its fields.
     """
 
-    __slots__ = ("n", "a", "b", "_integer_rows")
+    __slots__ = ("n", "a", "b")
     _fields = ("n", "a", "b")
     n: int
     a: tuple[tuple[int | Fraction, ...], ...]
@@ -467,13 +461,7 @@ def _integer_rows(game: BimatrixGame) -> list[tuple[int, list[int]]]:
     Each is built once per distinct pair of row objects and shared by the
     rows with that pair. A pair of int rows is summed at scale 1; in other
     pairs each distinct entry's numerator and denominator are read once.
-    The list is kept on the game, so ``game_rank`` and
-    ``block_difference_certificate`` scale a game once between them, and
-    callers must change neither the list nor its rows.
     """
-    integer_rows = getattr(game, "_integer_rows", None)
-    if integer_rows is not None:
-        return integer_rows
     memo: dict = {}
     ratio = attrgetter("numerator", "denominator")
 
@@ -489,9 +477,7 @@ def _integer_rows(game: BimatrixGame) -> list[tuple[int, list[int]]]:
     keys = list(zip(map(id, game.a), map(id, game.b)))
     pairs = dict(zip(keys, zip(game.a, game.b)))
     rows = {key: integer_row(row_a, row_b) for key, (row_a, row_b) in pairs.items()}
-    integer_rows = list(map(rows.__getitem__, keys))
-    object.__setattr__(game, "_integer_rows", integer_rows)
-    return integer_rows
+    return list(map(rows.__getitem__, keys))
 
 
 def game_rank(game: BimatrixGame) -> int:

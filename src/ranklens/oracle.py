@@ -35,11 +35,11 @@ class SearchConfig(_SearchConfigFields):
     """Budget and behavior of brute_force_min_rank.
 
     max_abs_payoff bounds every matrix entry in absolute value and must be
-    nonnegative. max_n caps the game size (each side's box holds
-    (2M+1)^(n^2) matrices); above n = 2 only the answers None and 0 are
-    exact, and a positive minimum rank raises BudgetExceeded instead. A box
-    of more than BOX_ROW_BUDGET matrices raises BudgetExceeded before
-    anything is enumerated.
+    a nonnegative int (a bool is not). max_n caps the game size (each
+    side's box holds (2M+1)^(n^2) matrices); above n = 2 only the answers
+    None and 0 are exact, and a positive minimum rank raises
+    BudgetExceeded instead. A box of more than BOX_ROW_BUDGET matrices
+    raises BudgetExceeded before anything is enumerated.
     zero_sum_shortcut answers rank-0 queries from the revealed-preference
     graph before enumerating, when its level sweep shows a zero-sum game in
     the box; disable it to keep the enumeration fully independent of the
@@ -49,6 +49,8 @@ class SearchConfig(_SearchConfigFields):
     __slots__ = ()
 
     def __new__(cls, max_abs_payoff: int = 3, max_n: int = 2, zero_sum_shortcut: bool = True) -> "SearchConfig":
+        if type(max_abs_payoff) is not int:
+            raise BudgetExceeded(f"max_abs_payoff must be an int, got {max_abs_payoff!r}")
         if max_abs_payoff < 0:
             raise BudgetExceeded(f"max_abs_payoff must be nonnegative, got {max_abs_payoff}")
         return super().__new__(cls, max_abs_payoff, max_n, zero_sum_shortcut)

@@ -28,7 +28,7 @@ from .model import (
     game_rank,
     rationalizes,
 )
-from .structure import StructureReport, _classes, analyze
+from .structure import StructureReport, _classes, _nesting, analyze
 
 
 class CycleWitness(NamedTuple):
@@ -193,7 +193,7 @@ def rationalize_zero_sum(dataset: DataSet) -> RationalizationCertificate:
         raise NotLaminar("dataset has crossing subgames")
     _require_uniqueness(report)
     rows, cols = _classes(dataset)
-    levels, cycle = _sweep(_strong_edge_ids(dataset, rows, cols))
+    levels, cycle = _sweep(_strong_edge_ids(_nesting(dataset), rows, cols))
     # The graph has edges beyond the inequalities that _certify tests, so
     # a cycle here would not be caught there. Its vertices are named by
     # the first row and column of their classes.

@@ -17,9 +17,9 @@ strictly contain it. `crossing_set` reads the crossing flags;
 containers. No grid is tested against one it does not meet. The grids,
 that pass and the report are computed once per dataset and kept on it
 beside its fields (see ``_Classification``), so every helper and route
-reuses one classification. The same memo keeps the row and column
-classes (``_classes``): rows that every observation treats alike, over
-which the zero-sum route builds and prices its graph.
+reuses one classification. The row and column classes (``_classes``),
+rows that every observation treats alike, over which the zero-sum route
+builds and prices its graph, are computed by each call.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class _Classification:
     grids as pairs of frozensets, the grid of each observation (as a
     subgame position), and, once asked, each grid's crossing flag and
     strict containers (``relations``). ``analyze`` stores the structure
-    report on it, and ``_classes`` the row and column classes.
+    report on it.
 
     One instance is kept on the dataset, beside its fields (see
     ``_classified``). It holds no reference to the dataset, so the two
@@ -46,7 +46,6 @@ class _Classification:
 
     def __init__(self, dataset: DataSet) -> None:
         self.report: StructureReport | None = None
-        self.classes: tuple[list[int], list[int]] | None = None
         self.subgames = subgames = dataset.subgames()
         axes: dict[tuple[int, ...], frozenset[int]] = {}
         for subgame in subgames:
@@ -182,10 +181,9 @@ def analyze(dataset: DataSet) -> StructureReport:
 
 def _report(dataset: DataSet) -> StructureReport:
     crossing = crossing_set(dataset)
-    crossing_lookup = set(crossing)
-    choices = tuple(
-        sorted({obs.choice for obs in dataset.observations if obs.subgame in crossing_lookup})
-    )
+    memo = _classified(dataset)
+    flags, observed = memo.relations[0], zip(dataset.observations, memo.positions)
+    choices = tuple(sorted({obs.choice for obs, grid in observed if flags[grid]}))
     row_span = len({profile.row for profile in choices})
     col_span = len({profile.col for profile in choices})
     uniqueness = satisfies_uniqueness(dataset)
@@ -213,17 +211,14 @@ def _classes(dataset: DataSet) -> tuple[list[int], list[int]]:
     observations' row and column sets marks each row and column with the
     observations that hold it, and the marks number the classes.
     """
-    memo = _classified(dataset)
-    if memo.classes is None:
-        n = dataset.n
-        marks = ([[] for _ in range(n)], [[] for _ in range(n)])
-        for k, ((i, j), (rows, cols)) in enumerate(dataset.observations):
-            for axis_marks, axis, chosen in zip(marks, (rows, cols), (i, j)):
-                for x in axis:
-                    axis_marks[x - 1].append(k)
-                axis_marks[chosen - 1].append(~k)
-        memo.classes = (_numbered(marks[0]), _numbered(marks[1]))
-    return memo.classes
+    n = dataset.n
+    marks = ([[] for _ in range(n)], [[] for _ in range(n)])
+    for k, ((i, j), (rows, cols)) in enumerate(dataset.observations):
+        for axis_marks, axis, chosen in zip(marks, (rows, cols), (i, j)):
+            for x in axis:
+                axis_marks[x - 1].append(k)
+            axis_marks[chosen - 1].append(~k)
+    return _numbered(marks[0]), _numbered(marks[1])
 
 
 def _numbered(marks: list[list[int]]) -> list[int]:

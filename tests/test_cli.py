@@ -575,7 +575,7 @@ class TestStartup:
             elif command == "generate":
                 assert layers == lean | {"ranklens.hadamard"}
             elif command == "minrank":
-                assert not layers & {"ranklens.hadamard", "ranklens.rationalize"}, layers
+                assert layers == lean | {"ranklens.graphs", "ranklens.oracle"}, layers
             else:
                 assert not layers & {"ranklens.hadamard", "ranklens.oracle"}, (command, layers)
 

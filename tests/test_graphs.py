@@ -44,7 +44,7 @@ from .generators import (
 
 def strong_pairs(ds):
     """The strong graph over the identity class maps: the full graph."""
-    return _strong_edge_ids(ds, range(ds.n), range(ds.n))
+    return _strong_edge_ids(_nesting(ds), range(ds.n), range(ds.n))
 
 
 def identity_payoffs(n, levels):
@@ -231,7 +231,7 @@ class TestRowAndColumnClasses:
         for ds in corpus + draws:
             rows, cols = _classes(ds)
             full = identity_payoffs(ds.n, _sweep(strong_pairs(ds))[0])
-            quotient = _payoffs(_sweep(_strong_edge_ids(ds, rows, cols))[0], rows, cols)
+            quotient = _payoffs(_sweep(_strong_edge_ids(_nesting(ds), rows, cols))[0], rows, cols)
             assert game_to_text(quotient) == game_to_text(full)
             assert game_to_text(rationalize_zero_sum(ds).game) == game_to_text(full)
             shrunk += (max(rows) + 1) * (max(cols) + 1) < ds.n ** 2
@@ -251,7 +251,7 @@ class TestRowAndColumnClasses:
         ds = validate_dataset([((1, 1), range(1, n + 1), range(1, n + 1)), ((2, 2), range(2, n + 1), (2, n))], n)
         rows, cols = _classes(ds)
         assert (max(rows) + 1, max(cols) + 1) == (3, 4)
-        pairs = _strong_edge_ids(ds, rows, cols)
+        pairs = _strong_edge_ids(_nesting(ds), rows, cols)
         assert {vid for pair in pairs for vid in pair} <= set(range(0, 3 * 3 * 4, 3))
         assert len(pairs) < 2 * 3 * 4
         cert = rationalize_zero_sum(ds)

@@ -151,8 +151,14 @@ class TestBruteForce:
             assert brute_force_min_rank(empty, NO_SHORTCUT) == rank
 
     def test_negative_radius_is_refused(self):
-        with pytest.raises(BudgetExceeded):
-            SearchConfig(max_abs_payoff=-1)
+        # A radius that is not an int is refused too: at 1.5 the rank-0
+        # shortcut would admit this four-level chain (4 <= 2 * 1.5 + 1),
+        # though no integer game inside the box is zero-sum.
+        chain = validate_dataset([((1, 1), (1, 2), (1, 2)), ((2, 2), (2,), (1, 2))], 2)
+        assert brute_force_min_rank(chain, SearchConfig(max_abs_payoff=1)) == 1
+        for radius in (-1, 1.5, True):
+            with pytest.raises(BudgetExceeded):
+                SearchConfig(max_abs_payoff=radius)
 
     def test_matches_naive_reference_at_radius_one(self):
         pool = all_two_by_two_observations()

@@ -151,7 +151,7 @@ class TestZeroSum:
         # Laminar uniqueness data make the strong graph acyclic (see
         # test_strong_graph_is_acyclic_on_laminar_uniqueness_data); were it
         # not, the route would stop and name the cycle.
-        monkeypatch.setattr("ranklens.rationalize._strong_edge_ids", lambda dataset, rows, cols: [(0, 9), (9, 0)])
+        monkeypatch.setattr("ranklens.rationalize._strong_edge_ids", lambda forest, rows, cols: [(0, 9), (9, 0)])
         with pytest.raises(AssertionError) as raised:
             rationalize_zero_sum(nested_dataset)
         assert str(raised.value) == (
