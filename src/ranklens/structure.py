@@ -17,9 +17,9 @@ strictly contain it. `crossing_set` reads the crossing flags;
 containers. No grid is tested against one it does not meet. The grids,
 that pass and the report are computed once per dataset and kept on it
 beside its fields (see ``_Classification``), so every helper and route
-reuses one classification. The row and column classes (``_classes``),
+reuses one classification. The row and column classes (``_classes``:
 rows that every observation treats alike, over which the zero-sum route
-builds and prices its graph, are computed by each call.
+builds and prices its graph) are not kept; each call computes them.
 """
 
 from __future__ import annotations
